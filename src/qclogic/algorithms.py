@@ -231,9 +231,12 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
     through the Fourier transform; the resulting distribution is supported
     on the multiples of N/r with weight 1/r each, independent of which
     value was observed.  A seeded sampler then draws ``samples`` outcomes
-    and estimates r as N / gcd(outcomes, N); the success probability
-    phi(r)/r is that of a single draw landing on a coprime multiple.
+    (at least one, else :class:`ValidationFailure`) and estimates r as
+    N / gcd(outcomes, N); the success probability phi(r)/r is that of a
+    single draw landing on a coprime multiple.
     """
+    if samples < 1:
+        raise ValidationFailure("samples", samples, "need at least one draw")
     n, r = spec.modulus, spec.period
     branches = _conditional_vectors(spec)
     fmat = fourier_matrix(n)
@@ -250,7 +253,7 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
     probs /= probs.sum()
 
     rng = np.random.default_rng(seed)
-    draws = rng.choice(n, size=max(1, samples), p=probs)
+    draws = rng.choice(n, size=samples, p=probs)
     g = n
     for c in draws:
         g = math.gcd(g, int(c))

@@ -43,10 +43,6 @@ class NotOrthonormalFamily(QclError):
     """Projectors handed in do not form an orthogonal resolution of identity."""
 
 
-class NonAbelianAlgebra(QclError):
-    """An algebra expected to be commutative is not."""
-
-
 class ArityMismatch(QclError):
     """Input length does not match a circuit's declared arity."""
 

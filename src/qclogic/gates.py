@@ -261,12 +261,20 @@ def parse_word(text: str, *, default_width: int | None = None) -> GateWord:
 
 
 def format_word(word: GateWord) -> str:
-    """Inverse of :func:`parse_word`, always fully explicit."""
+    """Inverse of :func:`parse_word`, always fully explicit.
+
+    Phases are written with 12 significant digits when that reads back
+    exactly, and with every digit (``repr``) otherwise, so that
+    ``parse_word(format_word(w)) == w``.
+    """
     parts = [f"width={word.width}"]
     for s in word.word:
         seg = s.name
         if s.param is not None:
-            seg += f"({s.param:.12g})"
+            phase = f"{s.param:.12g}"
+            if float(phase) != s.param:
+                phase = repr(s.param)
+            seg += f"({phase})"
         seg += "[" + ",".join(str(w) for w in s.wires) + "]"
         parts.append(seg)
     return "; ".join(parts)

@@ -320,14 +320,23 @@ class QuotientPartition:
         }
 
 
+def _within(a: np.ndarray | float, b: np.ndarray | float, tol: float) -> bool:
+    """Whether two truth values, or two evolved states, agree at ``tol``."""
+    if isinstance(a, float):
+        return abs(a - b) <= tol
+    return float(np.max(np.abs(a - b))) <= tol
+
+
 def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
              p: Projector | None = None, tol: float = DEFAULT_TOL) -> QuotientPartition:
     """Partition words by equiv_rho or equiv_rho_P at a fixed context.
 
     Words are keyed by their rounded invariant (9 decimal digits) for
-    near-constant-time grouping; a fresh key is still compared against
-    existing class representatives at the working tolerance, so values that
-    straddle a rounding boundary merge instead of splitting.
+    near-constant-time grouping.  A key hit joins that class only if the
+    word is within ``tol`` of its representative; a miss, or a hit that is
+    too far, is compared against every representative at ``tol``, so values
+    that straddle a rounding boundary merge instead of splitting and values
+    that share a key but differ by more than ``tol`` stay apart.
     """
     if relation not in ("equiv_rho", "equiv_rho_P"):
         raise ValueError(f"quotient supports equiv_rho and equiv_rho_P, got {relation!r}")
@@ -358,13 +367,11 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
             data = truth_value(u, rho, p)
             key = (round(data, 9) + 0.0,)
         idx = by_key.get(key)
+        if idx is not None and not _within(data, reps[idx], tol):
+            idx = None
         if idx is None:
             for j, rep in enumerate(reps):
-                if relation == "equiv_rho":
-                    close = float(np.max(np.abs(data - rep))) <= tol
-                else:
-                    close = abs(data - rep) <= tol
-                if close:
+                if _within(data, rep, tol):
                     idx = j
                     break
         if idx is None:

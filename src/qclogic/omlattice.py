@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ClosureCapExceeded,
@@ -30,7 +29,7 @@ from .errors import (
     ToleranceCollision,
     ValidationFailure,
 )
-from .qcore import DensityOperator, Projector, UnitaryGate, born, entry_key
+from .qcore import DensityOperator, Projector, UnitaryGate, born, entry_key, null_space
 
 DEFAULT_MAX_ELEMENTS = 512
 
@@ -365,22 +364,15 @@ def _proj_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Projector onto range(p) intersect range(q), via the joint null space
     of (I - p) and (I - q)."""
     d = p.shape[0]
-    stack = np.vstack([np.eye(d) - p, np.eye(d) - q])
-    basis = scipy.linalg.null_space(stack)
-    if basis.size == 0:
-        return np.zeros((d, d), dtype=complex)
+    basis = null_space(np.vstack([np.eye(d) - p, np.eye(d) - q]))
     return basis @ basis.conj().T
 
 
 def _proj_join(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Projector onto range(p) + range(q), by orthonormalizing the union."""
-    cols = np.hstack([p, q])
-    u, s, _ = np.linalg.svd(cols)
-    if s.size == 0 or s[0] <= 0:
-        return np.zeros_like(p)
-    rank = int(np.sum(s > s[0] * p.shape[0] * np.finfo(float).eps * 10))
-    b = u[:, :rank]
-    return b @ b.conj().T
+    """Projector onto range(p) + range(q): the complement of the meet of
+    the complements."""
+    eye = np.eye(p.shape[0])
+    return eye - _proj_meet(eye - p, eye - q)
 
 
 def projection_oml(dim: int, projectors: Sequence[Projector], *,
@@ -871,7 +863,7 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
             ortho[pos[a]] = pos[b]
         zero = pos[obj["zero"]]
         one = pos[obj["one"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValidationFailure("lattice-json", 0.0, f"bad payload: {exc}")
     np.fill_diagonal(leq, True)
     while True:

@@ -3,9 +3,9 @@
 States are density operators, events are orthogonal projectors, and dynamics
 are unitaries; each is a frozen wrapper around a dense complex matrix whose
 defining invariants are checked at construction time.  On top of these the
-module provides the probability pairing ``born``, commutant computation by
-null-space methods, and extraction of the Boolean event algebra generated by
-a family of rank-one projectors.
+module provides the probability pairing ``born``, a numpy null-space routine
+and the commutants computed with it, and the Boolean event algebra generated
+by a family of rank-one projectors.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
-    NonAbelianAlgebra,
     NonRealTrace,
     NotOrthonormalFamily,
     SizeCapExceeded,
@@ -183,13 +181,26 @@ def born(sigma: DensityOperator, p: Projector) -> float:
     return min(1.0, max(0.0, t.real))
 
 
-def truth_value_of(u: UnitaryGate, rho: DensityOperator, p: Projector) -> float:
-    """Tr(U rho U* P): probability that event P holds after running U on rho."""
-    return born(conjugate(u, rho), p)
-
-
 # ---------------------------------------------------------------------------
 # commutants
+
+
+def null_space(a) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``, one vector per column.
+
+    Singular values above ``10 * max(s) * eps * max(M, N)`` count towards
+    the rank, where M x N is the shape of ``a``; the remaining right singular
+    vectors span the null space.  The factor 10 over the cutoff of
+    ``numpy.linalg.matrix_rank`` is there because the inputs are themselves
+    computed: in projector lattice closures the singular values that should
+    be zero reach twice that cutoff, which would drop a dimension from a
+    meet.
+    """
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    cutoff = 10 * np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    rank = int(np.sum(s > cutoff))
+    return vh[rank:].conj().T
 
 
 @dataclass(frozen=True)
@@ -252,7 +263,7 @@ def commutant(matrices: Iterable, dim: int, *, tol: float = DEFAULT_TOL) -> Oper
         return OperatorAlgebraBasis(dim, units)
     blocks = [np.kron(eye, y.T) - np.kron(y, eye) for y in mats]
     system = np.vstack(blocks)
-    null = scipy.linalg.null_space(system)
+    null = null_space(system)
     basis = tuple(null[:, k].reshape(dim, dim) for k in range(null.shape[1]))
     out = OperatorAlgebraBasis(dim, basis)
     if not out.contains(eye, tol):
@@ -296,10 +307,10 @@ def boolean_projections(
 
     ``family`` must be rank-one projectors onto an orthonormal basis (pairwise
     orthogonal, summing to the identity); otherwise
-    :class:`NotOrthonormalFamily` is raised.  The double commutant of the
-    family is formed, checked to be abelian, and decomposed into its minimal
-    projections; the returned list holds all 2**k of their sums (including 0
-    and the identity) in a deterministic entrywise order.
+    :class:`NotOrthonormalFamily` is raised.  Such a family is the set of
+    minimal projections of the algebra it generates; the returned list holds
+    all 2**k of their sums (including 0 and the identity) in a deterministic
+    entrywise order.
     """
     if not family:
         raise NotOrthonormalFamily("empty family")
@@ -320,15 +331,7 @@ def boolean_projections(
     if np.max(np.abs(total - np.eye(dim))) > max(tol, dim * tol):
         raise NotOrthonormalFamily("family does not sum to the identity")
 
-    algebra = double_commutant([p.matrix for p in family], dim, tol=tol)
-    for i, a in enumerate(algebra.basis):
-        for b in algebra.basis[i + 1:]:
-            gap = float(np.max(np.abs(a @ b - b @ a)))
-            if gap > tol:
-                raise NonAbelianAlgebra(f"basis elements {i} fail to commute by {gap:.3e}")
-
-    minimal = _minimal_projections(algebra, tol)
-    k = len(minimal)
+    k = len(family)
     if k > max_minimal:
         raise SizeCapExceeded(
             f"{k} minimal projections would give 2**{k} events (cap {max_minimal})")
@@ -336,54 +339,12 @@ def boolean_projections(
     events: list[Projector] = []
     for picks in itertools.product((0, 1), repeat=k):
         m = np.zeros((dim, dim), dtype=complex)
-        for bit, q in zip(picks, minimal):
+        for bit, q in zip(picks, family):
             if bit:
-                m = m + q
+                m = m + q.matrix
         events.append(Projector(m, tol))
     events.sort(key=lambda p: entry_key(p.matrix, 12))
     return events
-
-
-def _minimal_projections(algebra: OperatorAlgebraBasis, tol: float) -> list[np.ndarray]:
-    """Spectral decomposition of a generic self-adjoint algebra element.
-
-    A finite-dimensional abelian *-algebra with identity is spanned by its
-    minimal projections; a random self-adjoint combination of the basis has,
-    generically, one distinct eigenvalue per minimal projection, so its
-    spectral projectors are exactly what we want.  Seeds are fixed for
-    determinism and retried in the unlikely degenerate case.
-    """
-    dim = algebra.dim
-    k = len(algebra)
-    for seed in range(5):
-        rng = np.random.default_rng(20240517 + seed)
-        h = np.zeros((dim, dim), dtype=complex)
-        for b in algebra.basis:
-            u, v = rng.uniform(1.0, 2.0, size=2)
-            h = h + u * (b + b.conj().T) / 2 + v * (b - b.conj().T) / 2j
-        evals, evecs = np.linalg.eigh(h)
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, dim):
-            if evals[i] - evals[clusters[-1][0]] > 1e-6 * max(1.0, abs(evals[-1])):
-                clusters.append([i])
-            else:
-                clusters[-1].append(i)
-        if len(clusters) != k:
-            continue
-        projs = []
-        ok = True
-        for idxs in clusters:
-            v = evecs[:, idxs]
-            q = v @ v.conj().T
-            if not algebra.contains(q, max(tol, 1e-7)):
-                ok = False
-                break
-            projs.append(q)
-        if ok:
-            return projs
-    raise NonAbelianAlgebra(
-        "could not split the algebra into minimal projections; "
-        "generic elements stayed degenerate")
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,9 @@ def test_period_verdict_estimates_from_draws():
     again = period_find(spec, samples=64, seed=5)
     assert again.outcome_distribution == res.outcome_distribution
     assert again.verdict == res.verdict
+    for samples in (0, -3):
+        with pytest.raises(ValidationFailure):
+            period_find(spec, samples=samples)
 
 
 def test_run_result_validation_and_json():

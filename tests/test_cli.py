@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qclogic
 from qclogic import qcore
 from qclogic.cli import main
 
@@ -151,6 +154,8 @@ def test_run_period(capsys):
     bad = json.dumps({"N": 4, "r": 3, "f": [0, 1, 2, 0]})
     code, out, err = run_cli(capsys, "run-period", bad)
     assert code == 2
+    code, out, err = run_cli(capsys, "run-period", spec, "--samples", "0")
+    assert code == 2 and out == "" and "samples" in err
 
 
 def test_lattice_verify_builtins(capsys):
@@ -188,6 +193,20 @@ def test_lattice_verify_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"elements": ["0", "1"], "leq": [["0", "1"]],
+     "ortho": {"0": "1", "1": "0"}, "zero": "0", "one": "1"},
+    {"elements": ["0", "1"], "leq": {"0": ["1"]},
+     "ortho": [["0", "1"], ["1", "0"]], "zero": "0", "one": "1"},
+    ["0", "1"],
+])
+def test_lattice_verify_malformed_file_is_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "lattice-verify", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_boolean_recover(capsys):
     code, payload = run_json(capsys, "boolean-recover", "--bits", "2",
                              "--cases", "10")
@@ -222,3 +241,14 @@ def test_console_script_entry_point():
                               capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy would add to every start-up
+    src = str(pathlib.Path(qclogic.__file__).resolve().parents[1])
+    code = ("import sys, qclogic; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -159,6 +159,9 @@ def test_format_word_roundtrip():
         text = gates.format_word(word)
         again = gates.parse_word(text)
         assert again == word
+    word = gates.parse_word("width=1; R(0.1234567890123456)[0]; R(1)[0]")
+    assert gates.format_word(word) == "width=1; R(0.1234567890123456)[0]; R(1)[0]"
+    assert gates.parse_word(gates.format_word(word)) == word
 
 
 def test_enumerate_g1_counts_and_order():

@@ -226,6 +226,18 @@ def test_quotient_pointwise_depth_three_new_value():
     assert part.keys[2][0] == pytest.approx(np.cos(np.pi / 8) ** 2, abs=1e-9)
 
 
+def test_quotient_honours_tol_within_one_key():
+    # truth values 4.2e-11 apart share the 9-digit key but not the class
+    words = [gates.parse_word(f"width=1; H[0]; R({phi})[0]; H[0]")
+             for phi in ("1.0", "1.0000000001")]
+    apart = quotient(words, "equiv_rho_P", ZERO, P_ZERO, tol=1e-12)
+    assert len(apart.classes) == 2
+    u, v = (gates.compose_word(w) for w in words)
+    assert not equiv_rho_P(u, v, ZERO, P_ZERO, tol=1e-12).holds
+    assert len(quotient(words, "equiv_rho_P", ZERO, P_ZERO).classes) == 1
+    assert len(quotient(words, "equiv_rho", ZERO, tol=1e-12).classes) == 2
+
+
 def test_quotient_fixed_state_is_finer():
     g1 = gates.generator_set("G1")
     words = gates.enumerate_polynomials(g1, 1, 2)

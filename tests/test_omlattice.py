@@ -180,6 +180,17 @@ def test_projection_oml_commuting_family_recovers_subset_algebra():
         assert np.max(np.abs(m - np.diag(np.diagonal(m)))) < 1e-9
 
 
+def test_projection_oml_rotated_basis_closes_to_all_subsets():
+    # closure elements carry rounding error from earlier meets, so the
+    # null-space rank cutoff must not drop a dimension (2**5 elements)
+    u = helpers.random_unitary(helpers.rng(0), 5)
+    fam = [qcore.Projector(np.outer(u[:, k], u[:, k].conj())) for k in range(5)]
+    lat = projection_oml(5, fam)
+    assert len(lat) == 32
+    ranks = sorted(round(np.trace(m).real) for m in lat.matrices)
+    assert ranks == sorted(bin(mask).count("1") for mask in range(32))
+
+
 def test_projection_oml_caps_and_collisions():
     with pytest.raises(ClosureCapExceeded):
         projection_oml(2, [qcore.Projector(P0),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from qclogic import qcore
+from qclogic import logic, qcore
 from qclogic.errors import (
     DimensionMismatch,
     NonRealTrace,
@@ -137,10 +137,25 @@ def test_truth_value_of_matches_oracle():
         u = helpers.random_unitary(gen, 2)
         rho = helpers.random_density(gen, 2)
         p = helpers.random_projector(gen, 2)
-        got = qcore.truth_value_of(qcore.UnitaryGate(u),
-                                   qcore.DensityOperator(rho),
-                                   qcore.Projector(p))
+        got = logic.truth_value(qcore.UnitaryGate(u),
+                                qcore.DensityOperator(rho),
+                                qcore.Projector(p))
         assert got == pytest.approx(helpers.truth_value_oracle(u, rho, p), abs=1e-9)
+
+
+def test_null_space_hand_cases():
+    ns = qcore.null_space(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert ns.shape == (2, 1)
+    assert np.allclose(np.abs(ns[:, 0]), [2 ** -0.5, 2 ** -0.5], atol=1e-15)
+    assert ns[0, 0] == pytest.approx(-ns[1, 0], abs=1e-15)
+    assert qcore.null_space(np.eye(3)).shape == (3, 0)
+    ns = qcore.null_space(np.zeros((2, 3)))
+    assert ns.shape == (3, 3)
+    assert np.allclose(ns.conj().T @ ns, np.eye(3), atol=1e-15)
+    # singular values up to 10 * max(s) * eps * max(M, N) = 4.4e-15 count as zero
+    ns = qcore.null_space(np.diag([1.0, 1e-15]))
+    assert ns.shape == (2, 1) and abs(ns[1, 0]) == 1.0
+    assert qcore.null_space(np.diag([1.0, 1e-14])).shape == (2, 0)
 
 
 def test_commutant_dimensions():
@@ -214,6 +229,17 @@ def test_boolean_projections_rotated_basis():
     fam = [qcore.Projector(np.outer(u[:, k], u[:, k].conj())) for k in range(4)]
     events = qcore.boolean_projections(fam)
     assert len(events) == 16
+    # cross-check: the events span the algebra the family generates
+    alg = qcore.double_commutant([p.matrix for p in fam], 4)
+    assert len(alg) == 4
+    assert all(alg.contains(e.matrix) for e in events)
+
+
+def test_boolean_projections_cap_precedes_enumeration():
+    fam = [qcore.Projector(helpers.basis_state(4, k)) for k in range(4)]
+    with pytest.raises(SizeCapExceeded):
+        qcore.boolean_projections(fam, max_minimal=3)
+    assert len(qcore.boolean_projections(fam, max_minimal=4)) == 16
 
 
 def test_boolean_projections_deterministic_order():
