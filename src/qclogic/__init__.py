@@ -1,7 +1,7 @@
 """Probabilistic truth values of gates, their equivalence hierarchy, and
 orthomodular computational schemes, for both quantum and classical circuits."""
 
-from . import algorithms, classical, cli, errors, gates, logic, omlattice, qcore
+from . import algorithms, classical, errors, gates, logic, omlattice, qcore
 from .algorithms import (
     OracleFunction,
     PeriodicSpec,

@@ -53,6 +53,28 @@ class LawReport:
         return out
 
 
+def _report(labels, law: str, witness: tuple[int, ...] | None) -> LawReport:
+    return LawReport(law, witness is None,
+                     None if witness is None else tuple(labels[i] for i in witness))
+
+
+def _first_pair(mask: np.ndarray) -> tuple[int, ...] | None:
+    if not mask.any():
+        return None
+    a, b = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return (int(a), int(b))
+
+
+def _first_triple(n: int, slab_for: Callable[[int], np.ndarray]) -> tuple[int, ...] | None:
+    """The first (a, b, c) flagged, scanning one (b, c) slab per a."""
+    for a in range(n):
+        slab = slab_for(a)
+        if slab.any():
+            b, c = np.unravel_index(int(np.argmax(slab)), slab.shape)
+            return (a, int(b), int(c))
+    return None
+
+
 def _law_battery(labels, leq, meet, join, ortho, zero, one,
                  informational: bool) -> list[LawReport]:
     n = len(labels)
@@ -60,21 +82,15 @@ def _law_battery(labels, leq, meet, join, ortho, zero, one,
     reports: list[LawReport] = []
 
     def report(law: str, witness: tuple[int, ...] | None):
-        reports.append(LawReport(
-            law, witness is None,
-            None if witness is None else tuple(labels[i] for i in witness)))
-
-    def first_pair(mask: np.ndarray) -> tuple[int, ...] | None:
-        if not mask.any():
-            return None
-        a, b = np.unravel_index(int(np.argmax(mask)), mask.shape)
-        return (int(a), int(b))
+        reports.append(_report(labels, law, witness))
 
     # order axioms
     refl = ~leq[idx, idx]
     report("reflexive", (int(np.argmax(refl)),) if refl.any() else None)
-    report("antisymmetric", first_pair(leq & leq.T & ~np.eye(n, dtype=bool)))
-    closure = (leq.astype(np.int64) @ leq.astype(np.int64) > 0) & ~leq
+    report("antisymmetric", _first_pair(leq & leq.T & ~np.eye(n, dtype=bool)))
+    lf = leq.astype(np.float32)
+    # exact: every entry of the product is a count <= n <= MAX_LATTICE < 2**24
+    closure = (lf @ lf > 0) & ~leq
     if closure.any():
         a, c = np.unravel_index(int(np.argmax(closure)), closure.shape)
         b = int(np.argmax(leq[a, :] & leq[:, c]))
@@ -84,72 +100,81 @@ def _law_battery(labels, leq, meet, join, ortho, zero, one,
     bounds_bad = ~leq[zero, :] | ~leq[:, one]
     report("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
 
-    # meet/join against the order, one row slab at a time
-    def first_triple(slab_for: Callable[[int], np.ndarray]) -> tuple[int, ...] | None:
-        for a in range(n):
-            slab = slab_for(a)
-            if slab.any():
-                b, c = np.unravel_index(int(np.argmax(slab)), slab.shape)
-                return (a, int(b), int(c))
-        return None
+    # meet/join against the order, one (b, c) slab per a
+    leq_t = np.ascontiguousarray(leq.T)                  # [b, c] = leq[c, b]
 
     def meet_glb_slab(a: int) -> np.ndarray:
         m = meet[a]
         bad_lower = ~(leq[m, a] & leq[m, idx])           # over b
-        lower = leq[:, a][:, None] & leq                 # [c, b] = c <= a and c <= b
-        bad_greatest = lower & ~leq[:, m]                # [c, b]: c not <= meet[a, b]
-        return bad_lower[:, None] | bad_greatest.T       # slab over (b, c)
+        # [b, c]: c <= a and c <= b, but c not <= meet[a, b]
+        bad_greatest = leq[:, a] & leq_t & ~leq_t[m]
+        return bad_lower[:, None] | bad_greatest
 
     def join_lub_slab(a: int) -> np.ndarray:
         j = join[a]
         bad_upper = ~(leq[a, j] & leq[idx, j])           # over b
-        upper = leq[a, :][:, None] & leq.T               # [c, b] = a <= c and b <= c
-        bad_least = upper.T & ~leq[j, :]                 # [b, c]: join[a, b] not <= c
+        # [b, c]: a <= c and b <= c, but join[a, b] not <= c
+        bad_least = leq[a, :] & leq & ~leq[j, :]
         return bad_upper[:, None] | bad_least
 
-    t = first_triple(meet_glb_slab)
-    report("meet-is-glb", t)
-    t = first_triple(join_lub_slab)
-    report("join-is-lub", t)
+    report("meet-is-glb", _first_triple(n, meet_glb_slab))
+    report("join-is-lub", _first_triple(n, join_lub_slab))
 
-    report("meet-commutative", first_pair(meet != meet.T))
-    report("join-commutative", first_pair(join != join.T))
+    report("meet-commutative", _first_pair(meet != meet.T))
+    report("join-commutative", _first_pair(join != join.T))
+
+    # The gathers write into buffers reused for every a.  Fresh n x n
+    # temporaries page-fault whenever the allocator maps them anew, which
+    # tripled the gather time at n = 512.  mode="clip" lets take write
+    # straight into them; it never clips, since the tables are in range.
+    left, right = np.empty((2, n, n), dtype=np.intp)
+    differ = np.empty((n, n), dtype=bool)
 
     def assoc_slab(table):
         def slab(a: int) -> np.ndarray:
-            left = table[table[a], :]        # (b, c): table[table[a,b], c]
-            right = table[a][table]          # (b, c): table[a, table[b,c]]
-            return left != right
+            table.take(table[a], axis=0, out=left, mode="clip")   # (b, c): table[table[a,b], c]
+            table[a].take(table, out=right, mode="clip")          # (b, c): table[a, table[b,c]]
+            return np.not_equal(left, right, out=differ)
         return slab
 
-    report("meet-associative", first_triple(assoc_slab(meet)))
-    report("join-associative", first_triple(assoc_slab(join)))
+    report("meet-associative", _first_triple(n, assoc_slab(meet)))
+    report("join-associative", _first_triple(n, assoc_slab(join)))
 
     absorb1 = meet[idx[:, None], join] != idx[:, None]   # a ^ (a v b) = a
     absorb2 = join[idx[:, None], meet] != idx[:, None]
-    report("absorption", first_pair(absorb1 | absorb2))
+    report("absorption", _first_pair(absorb1 | absorb2))
 
     consistency = ((meet == idx[:, None]) != leq) | ((join == idx[None, :]) != leq)
-    report("order-consistency", first_pair(consistency))
+    report("order-consistency", _first_pair(consistency))
 
     invol = ortho[ortho] != idx
     report("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
     comp_bad = (meet[idx, ortho] != zero) | (join[idx, ortho] != one)
     report("ortho-complement", (int(np.argmax(comp_bad)),) if comp_bad.any() else None)
     reversed_leq = leq[np.ix_(ortho, ortho)]             # [a, b] = leq[ortho[a], ortho[b]]
-    report("ortho-order-reversing", first_pair(leq & ~reversed_leq.T))
+    report("ortho-order-reversing", _first_pair(leq & ~reversed_leq.T))
 
     inner = meet[ortho]                                   # [a, b] = meet[ortho[a], b]
     om_rhs = join[idx[:, None], inner]                    # [a, b] = join[a, inner[a, b]]
-    report("orthomodular", first_pair(leq & (om_rhs != idx[None, :])))
+    report("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
 
     if informational:
-        def distributive_slab(a: int) -> np.ndarray:
-            lhs = meet[a][join]                           # a ^ (b v c)
-            rhs = join[np.ix_(meet[a], meet[a])]          # (a^b) v (a^c)
-            return lhs != rhs
-        report("distributive", first_triple(distributive_slab))
+        reports.append(_distributive_report(labels, meet, join))
     return reports
+
+
+def _distributive_report(labels, meet, join) -> LawReport:
+    """Distributivity, gathered into reused buffers as associativity is."""
+    n = len(labels)
+    lhs, rows, rhs = np.empty((3, n, n), dtype=np.intp)
+    differ = np.empty((n, n), dtype=bool)
+
+    def slab(a: int) -> np.ndarray:
+        ma = meet[a]
+        ma.take(join, out=lhs, mode="clip")                              # a ^ (b v c)
+        join.take(ma, axis=0, out=rows, mode="clip").take(ma, axis=1, out=rhs, mode="clip")
+        return np.not_equal(lhs, rhs, out=differ)                        # vs (a^b) v (a^c)
+    return _report(labels, "distributive", _first_triple(n, slab))
 
 
 REQUIRED_LAWS = (
@@ -169,9 +194,10 @@ class FiniteOML:
 
     ``leq`` is the full order relation as a boolean matrix; ``meet``,
     ``join`` are n x n index tables; ``ortho`` maps each element index to
-    its orthocomplement.  All required laws are verified at construction.
-    Identity of the object is used to tie states and automorphisms to their
-    lattice, so build one lattice and share it.
+    its orthocomplement.  All required laws are verified at construction,
+    and their reports are kept for :func:`verify_laws`.  Identity of the
+    object is used to tie states and automorphisms to their lattice, so
+    build one lattice and share it.
     """
 
     labels: tuple[str, ...]
@@ -212,11 +238,13 @@ class FiniteOML:
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "join", join)
         object.__setattr__(self, "ortho", ortho)
-        for rep in _law_battery(labels, leq, meet, join, ortho,
-                                self.zero, self.one, informational=False):
+        reports = _law_battery(labels, leq, meet, join, ortho,
+                               self.zero, self.one, informational=False)
+        for rep in reports:
             if not rep.holds:
                 raise ValidationFailure(
                     rep.law, 1.0, f"witness {rep.witness}")
+        object.__setattr__(self, "_required_reports", tuple(reports))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -229,11 +257,13 @@ class FiniteOML:
 
 
 def verify_laws(lattice: FiniteOML, *, include_informational: bool = True) -> list[LawReport]:
-    """Re-run the law battery on a built lattice, optionally with the
-    informational laws (distributivity) included."""
-    return _law_battery(lattice.labels, lattice.leq, lattice.meet, lattice.join,
-                        lattice.ortho, lattice.zero, lattice.one,
-                        informational=include_informational)
+    """The law reports of a built lattice: the required laws as its
+    constructor checked them (its tables are read-only, so they still hold),
+    followed by distributivity unless ``include_informational`` is false."""
+    reports = list(lattice._required_reports)
+    if include_informational:
+        reports.append(_distributive_report(lattice.labels, lattice.meet, lattice.join))
+    return reports
 
 
 def atom_indices(lattice: FiniteOML) -> list[int]:
@@ -303,35 +333,58 @@ def from_order(labels: Sequence[str], leq, ortho, zero: int, one: int,
     leq = np.array(leq, dtype=bool)
     if leq.shape != (n, n):
         raise ValidationFailure("table-shape", 0.0, f"leq is {leq.shape}")
-    lf = leq.astype(np.float32)
+    down = _packed(leq.T)                                 # row c: the set below c
+    up = _packed(leq)                                     # row c: the set above c
     meet = np.zeros((n, n), dtype=np.intp)
     join = np.zeros((n, n), dtype=np.intp)
     for a in range(n):
-        lower = leq[:, a][:, None] & leq                  # (c, b): c <= a and c <= b
-        dominated = lf.T @ lower.astype(np.float32)       # (c, b): lower bounds below c
-        total = lower.sum(axis=0)                         # (b,)
-        is_glb = lower & (np.abs(dominated - total[None, :]) < 0.5)
+        below = np.flatnonzero(leq[:, a])
+        is_glb = _extreme_bounds(a, below, leq[below, :], down)
         counts = is_glb.sum(axis=0)
         if (counts != 1).any():
             b = int(np.argmax(counts != 1))
             raise ValidationFailure(
                 "meet-exists", float(counts[b]),
                 f"pair ({labels[a]}, {labels[b]}) has {counts[b]} greatest lower bounds")
-        meet[a] = np.argmax(is_glb, axis=0)
+        meet[a] = below[np.argmax(is_glb, axis=0)]
 
-        upper = leq[a, :][:, None] & leq.T                # (c, b): a <= c and b <= c
-        dominates = lf @ upper.astype(np.float32)         # (c, b): upper bounds above c
-        total = upper.sum(axis=0)
-        is_lub = upper & (np.abs(dominates - total[None, :]) < 0.5)
+        above = np.flatnonzero(leq[a, :])
+        is_lub = _extreme_bounds(a, above, leq[:, above].T, up)
         counts = is_lub.sum(axis=0)
         if (counts != 1).any():
             b = int(np.argmax(counts != 1))
             raise ValidationFailure(
                 "join-exists", float(counts[b]),
                 f"pair ({labels[a]}, {labels[b]}) has {counts[b]} least upper bounds")
-        join[a] = np.argmax(is_lub, axis=0)
+        join[a] = above[np.argmax(is_lub, axis=0)]
     return FiniteOML(labels, leq, meet, join, np.asarray(ortho, dtype=np.intp),
                      zero, one)
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as a bitset of uint64 words."""
+    n_rows, n = rows.shape
+    bits = np.zeros((n_rows, -(-n // 64) * 64), dtype=bool)
+    bits[:, :n] = rows
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def _extreme_bounds(a: int, cand: np.ndarray, bounds: np.ndarray,
+                    sets: np.ndarray) -> np.ndarray:
+    """[k, b]: is cand[k] the extreme common bound of a and b?
+
+    ``sets`` holds every element's lower sets (for the glb) or upper sets
+    (for the lub) as bitsets, ``cand`` the elements in a's set and
+    ``bounds[k, b]`` whether cand[k] is in b's set.  cand[k] is extreme when
+    the whole common set of a and b lies in its own set, which is the
+    definition itself and assumes nothing of the relation.
+    """
+    common = sets[a] & sets                               # [b, word]
+    outside = ~sets[cand]                                 # [k, word]
+    extreme = bounds.copy()
+    for w in range(sets.shape[1]):
+        extreme &= (outside[:, w, None] & common[None, :, w]) == 0
+    return extreme
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +413,20 @@ class ProjectionLattice(FiniteOML):
         return Projector(self.matrices[index])
 
 
-def _proj_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _proj_meet(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     """Projector onto range(p) intersect range(q), via the joint null space
-    of (I - p) and (I - q)."""
+    of (I - p) and (I - q); a direction that both move by at most ``tol``
+    lies in both ranges."""
     d = p.shape[0]
-    basis = null_space(np.vstack([np.eye(d) - p, np.eye(d) - q]))
+    basis = null_space(np.vstack([np.eye(d) - p, np.eye(d) - q]), atol=tol)
     return basis @ basis.conj().T
 
 
-def _proj_join(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _proj_join(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     """Projector onto range(p) + range(q): the complement of the meet of
     the complements."""
     eye = np.eye(p.shape[0])
-    return eye - _proj_meet(eye - p, eye - q)
+    return eye - _proj_meet(eye - p, eye - q, tol)
 
 
 def projection_oml(dim: int, projectors: Sequence[Projector], *,
@@ -382,37 +436,39 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
 
     Elements are deduplicated entrywise at ``tol``; a candidate that is
     neither clearly equal to an existing element nor clearly distinct raises
-    :class:`ToleranceCollision`.  Closure past ``max_elements`` raises
-    :class:`ClosureCapExceeded`.  The result carries both the abstract
-    tables and the projector matrices, in a canonical entrywise order.
+    :class:`ToleranceCollision`.  Meets and joins count a direction as
+    shared when both projectors move it by at most ``tol``.  Closure past
+    ``max_elements`` raises :class:`ClosureCapExceeded`.  The result carries
+    both the abstract tables and the projector matrices, in a canonical
+    entrywise order.
     """
-    mats: list[np.ndarray] = [np.zeros((dim, dim), dtype=complex),
-                              np.eye(dim, dtype=complex)]
+    # the elements found so far are stack[:count]; the buffer doubles when full
+    stack = np.zeros((8, dim, dim), dtype=complex)
+    stack[1] = np.eye(dim)
+    count = 2
 
-    def find(m: np.ndarray) -> int | None:
-        gaps = [float(np.max(np.abs(m - e))) for e in mats]
-        hits = [i for i, g in enumerate(gaps) if g <= tol]
+    def add(m: np.ndarray) -> int:
+        nonlocal stack, count
+        gaps = np.abs(stack[:count] - m).max(axis=(1, 2))
+        hits = np.flatnonzero(gaps <= tol)
         if len(hits) > 1:
             raise ToleranceCollision(
-                f"candidate matches elements {hits} simultaneously at tol {tol:g}")
-        if hits:
-            return hits[0]
-        near = min(gaps)
+                f"candidate matches elements {hits.tolist()} simultaneously at tol {tol:g}")
+        if len(hits):
+            return int(hits[0])
+        near = gaps.min()
         if near <= 10 * tol:
             raise ToleranceCollision(
                 f"candidate is {near:.3e} from an existing element; "
                 f"not separable at tol {tol:g}")
-        return None
-
-    def add(m: np.ndarray) -> int:
-        idx = find(m)
-        if idx is not None:
-            return idx
-        if len(mats) >= max_elements:
+        if count >= max_elements:
             raise ClosureCapExceeded(
                 f"closure exceeded {max_elements} elements")
-        mats.append(m)
-        return len(mats) - 1
+        if count == len(stack):
+            stack = np.concatenate([stack, np.zeros_like(stack)])
+        stack[count] = m
+        count += 1
+        return count - 1
 
     for p in projectors:
         if not isinstance(p, Projector):
@@ -421,47 +477,43 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
             raise DimensionMismatch(f"projector dim {p.dim} vs {dim}")
         add(p.matrix.astype(complex))
 
+    # every meet, join and complement the closure computes, as element indices
+    pairs: list[tuple[int, int, int, int]] = []
+    complement: list[int] = []
     eye = np.eye(dim, dtype=complex)
     done = 0
-    while done < len(mats):
-        done_now = len(mats)
+    while done < count:
+        done_now = count
         for i in range(done_now):
-            a = mats[i]
+            a = stack[i]
             if i >= done:
-                add(eye - a)
+                complement.append(add(eye - a))
             for j in range(max(i, done), done_now):
-                b = mats[j]
-                add(_proj_meet(a, b))
-                add(_proj_join(a, b))
+                b = stack[j]
+                pairs.append((i, j, add(_proj_meet(a, b, tol)), add(_proj_join(a, b, tol))))
         done = done_now
 
-    order = sorted(range(len(mats)), key=lambda i: entry_key(mats[i], 12))
-    mats = [mats[i] for i in order]
+    n = count
+    order = sorted(range(n), key=lambda i: entry_key(stack[i], 12))
+    mats = stack[order]
+    pos = np.empty(n, dtype=np.intp)                      # old index -> sorted index
+    pos[order] = np.arange(n)
 
-    n = len(mats)
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = float(np.max(np.abs(mats[j] @ mats[i] - mats[i]))) <= tol
+    leq = np.empty((n, n), dtype=bool)
+    for i in range(n):                                    # [i, j]: mats[j] @ mats[i] == mats[i]
+        leq[i] = np.abs(mats @ mats[i] - mats[i]).max(axis=(1, 2)) <= tol
 
-    def locate(m: np.ndarray, what: str) -> int:
-        idx = find(m)
-        if idx is None:
-            raise ValidationFailure("closure", 0.0, f"{what} escaped the closed family")
-        return idx
-
-    meet = np.zeros((n, n), dtype=np.intp)
-    join = np.zeros((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(i, n):
-            meet[i, j] = meet[j, i] = locate(_proj_meet(mats[i], mats[j]), "meet")
-            join[i, j] = join[j, i] = locate(_proj_join(mats[i], mats[j]), "join")
-    ortho = np.array([locate(eye - m, "complement") for m in mats], dtype=np.intp)
-    zero = locate(np.zeros((dim, dim), dtype=complex), "zero")
-    one = locate(eye, "one")
+    rows, cols, meets, joins = pos[np.array(pairs, dtype=np.intp).T]
+    meet = np.empty((n, n), dtype=np.intp)
+    meet[rows, cols] = meet[cols, rows] = meets
+    join = np.empty((n, n), dtype=np.intp)
+    join[rows, cols] = join[cols, rows] = joins
+    ortho = np.empty(n, dtype=np.intp)
+    ortho[pos] = pos[complement]
+    zero, one = int(pos[0]), int(pos[1])
 
     labels = []
-    for i, m in enumerate(mats):
+    for i in range(n):
         if i == zero:
             labels.append("0")
         elif i == one:
@@ -852,8 +904,10 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
     """
     try:
         labels = [str(s) for s in obj["elements"]]
-        pos = {s: i for i, s in enumerate(labels)}
         n = len(labels)
+        if n > max_elements:
+            raise SizeCapExceeded(f"{n} elements exceeds cap {max_elements}")
+        pos = {s: i for i, s in enumerate(labels)}
         leq = np.zeros((n, n), dtype=bool)
         for a, ups in obj["leq"].items():
             for b in ups:
@@ -867,7 +921,8 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
         raise ValidationFailure("lattice-json", 0.0, f"bad payload: {exc}")
     np.fill_diagonal(leq, True)
     while True:
-        closed = leq | ((leq.astype(np.int64) @ leq.astype(np.int64)) > 0)
+        lf = leq.astype(np.float32)
+        closed = leq | (lf @ lf > 0)     # exact: the entries count at most n < 2**24 paths
         if (closed == leq).all():
             break
         leq = closed

@@ -185,20 +185,20 @@ def born(sigma: DensityOperator, p: Projector) -> float:
 # commutants
 
 
-def null_space(a) -> np.ndarray:
+def null_space(a, atol: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the null space of ``a``, one vector per column.
 
-    Singular values above ``10 * max(s) * eps * max(M, N)`` count towards
-    the rank, where M x N is the shape of ``a``; the remaining right singular
-    vectors span the null space.  The factor 10 over the cutoff of
-    ``numpy.linalg.matrix_rank`` is there because the inputs are themselves
-    computed: in projector lattice closures the singular values that should
-    be zero reach twice that cutoff, which would drop a dimension from a
-    meet.
+    Singular values above both ``10 * max(s) * eps * max(M, N)`` and
+    ``atol`` count towards the rank, where M x N is the shape of ``a``; the
+    remaining right singular vectors span the null space.  The factor 10
+    over the cutoff of ``numpy.linalg.matrix_rank`` is there because the
+    inputs are themselves computed: in projector lattice closures the
+    singular values that should be zero reach twice that cutoff, which would
+    drop a dimension from a meet.
     """
     a = np.asarray(a)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = 10 * np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    cutoff = max(10 * np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape), atol)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 

@@ -241,6 +241,7 @@ def test_console_script_entry_point():
                               capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True
+    assert proc.stderr == ""        # no RuntimeWarning about qclogic.cli under -m
 
 
 def test_import_leaves_scipy_unloaded():

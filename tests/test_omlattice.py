@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qclogic import logic, omlattice, qcore
@@ -19,6 +21,7 @@ from qclogic.omlattice import (
     ComputationalScheme,
     FiniteOML,
     LatticeState,
+    _law_battery,
     atom_indices,
     boolean_oml,
     compose_automorphisms,
@@ -125,6 +128,141 @@ def test_from_order_rejects_missing_bounds():
     assert err.value.invariant in ("meet-exists", "join-exists")
 
 
+def brute_from_order(labels, leq, ortho, zero, one):
+    """from_order spelled out from the definition of glb and lub: the
+    tables, or the invariant, pair and bound count of the first failure
+    (meet row a before join row a)."""
+    n = len(labels)
+    tables = {"meet": np.zeros((n, n), dtype=np.intp),
+              "join": np.zeros((n, n), dtype=np.intp)}
+    for a in range(n):
+        for kind, table in tables.items():
+            for b in range(n):
+                if kind == "meet":
+                    common = [c for c in range(n) if leq[c][a] and leq[c][b]]
+                    best = [c for c in common if all(leq[x][c] for x in common)]
+                else:
+                    common = [c for c in range(n) if leq[a][c] and leq[b][c]]
+                    best = [c for c in common if all(leq[c][x] for x in common)]
+                if len(best) != 1:
+                    return f"{kind}-exists", f"pair ({labels[a]}, {labels[b]}) has {len(best)} "
+                table[a, b] = best[0]
+    return FiniteOML(labels, leq, tables["meet"], tables["join"], ortho, zero, one)
+
+
+def outcome(build):
+    """A built lattice's tables, or a failure's invariant and witness text."""
+    try:
+        lat = build()
+    except ValidationFailure as exc:
+        return exc.invariant, str(exc).split("(", 1)[1]
+    if isinstance(lat, tuple):
+        return lat
+    return lat.labels, lat.leq.tolist(), lat.meet.tolist(), lat.join.tolist()
+
+
+@st.composite
+def relations(draw):
+    """Relations on up to 8 elements: arbitrary, reflexive, preorders, and
+    inclusion among subsets of three atoms with set complement as ortho,
+    which is often an orthomodular lattice."""
+    shape = draw(st.sampled_from(["raw", "reflexive", "preorder", "subsets"]))
+    if shape == "subsets":
+        masks = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        if draw(st.booleans()):
+            masks = sorted(set(masks) | {7 ^ m for m in masks} | {0, 7})
+        m = np.array(masks)
+        leq = (m[:, None] & ~m[None, :]) == 0
+        ortho = [masks.index(7 ^ x) if 7 ^ x in masks else 0 for x in masks]
+        zero, one = int(np.argmin(m)), int(np.argmax(m))
+        return tuple(f"s{x}" for x in masks), leq, ortho, zero, one
+    n = draw(st.integers(1, 8))
+    leq = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                 min_size=n, max_size=n)), dtype=bool)
+    if shape != "raw":
+        np.fill_diagonal(leq, True)
+    if shape == "preorder":
+        for k in range(n):
+            leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+    ortho = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    zero, one = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return tuple(f"e{i}" for i in range(n)), leq, ortho, zero, one
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_from_order_matches_definition_on_any_relation(args):
+    got = outcome(lambda: from_order(*args))
+    want = outcome(lambda: brute_from_order(*args))
+    if want[0] in ("meet-exists", "join-exists"):
+        assert got[0] == want[0] and got[1].startswith(want[1])
+    else:
+        assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["boolean1", "boolean2", "mo2"]), st.randoms(use_true_random=False))
+def test_from_order_matches_definition_on_relabelled_lattices(name, rnd):
+    lat = {"boolean1": boolean_oml(1), "boolean2": boolean_oml(2), "mo2": mo2_oml()}[name]
+    perm = list(range(len(lat)))
+    rnd.shuffle(perm)
+    back = np.argsort(perm)                      # new index -> old index
+    leq = lat.leq[np.ix_(back, back)]
+    ortho = np.asarray(perm)[lat.ortho[back]]
+    args = (tuple(lat.labels[i] for i in back), leq, ortho, perm[lat.zero], perm[lat.one])
+    built = from_order(*args)
+    assert outcome(lambda: built) == outcome(lambda: brute_from_order(*args))
+    assert np.array_equal(built.meet, np.asarray(perm)[lat.meet[np.ix_(back, back)]])
+
+
+def test_verify_laws_equals_a_fresh_battery():
+    lattices = [boolean_oml(k) for k in range(4)] + [mo2_oml(), quantum_mo2(),
+        projection_oml(4, [qcore.Projector(np.diag([1.0, 1.0, 0.0, 0.0])),
+                           qcore.Projector(np.diag([1.0, 0.0, 1.0, 0.0]))])]
+    for lat in lattices:
+        fresh = _law_battery(lat.labels, lat.leq, lat.meet, lat.join, lat.ortho,
+                             lat.zero, lat.one, informational=True)
+        assert verify_laws(lat) == fresh
+        assert verify_laws(lat, include_informational=False) == fresh[:-1]
+
+
+# (lattice, corrupted table, seed) -> the law the constructor names, and its witness
+CORRUPTIONS = {
+    ("boolean2", "leq", 0): ("transitive", ("{00}", "{00,10,11}", "{01,11}")),
+    ("boolean2", "leq", 2): ("antisymmetric", ("{10}", "{00,10,11}")),
+    ("boolean2", "meet", 0): ("meet-is-glb", ("{00,10,11}", "{01,11}", "{11}")),
+    ("boolean2", "meet", 1): ("meet-is-glb", ("{00,01,10}", "{11}", "{}")),
+    ("boolean2", "join", 0): ("join-is-lub", ("{00,10,11}", "{01,11}", "{}")),
+    ("boolean2", "join", 2): ("join-is-lub", ("{00,10,11}", "{10}", "{00,10,11}")),
+    ("boolean2", "ortho", 1): ("ortho-involution", ("{00,01,10}",)),
+    ("mo2", "leq", 0): ("antisymmetric", ("b", "1")),
+    ("mo2", "leq", 1): ("meet-is-glb", ("a'", "b", "a'")),
+    ("mo2", "meet", 0): ("meet-is-glb", ("1", "b", "b")),
+    ("mo2", "meet", 1): ("meet-is-glb", ("a'", "b", "0")),
+    ("mo2", "join", 0): ("join-is-lub", ("1", "b", "0")),
+    ("mo2", "join", 2): ("join-is-lub", ("1", "a", "0")),
+    ("mo2", "ortho", 1): ("ortho-involution", ("a",)),
+}
+
+
+def test_seeded_corruptions_name_the_failing_law():
+    for (name, table, seed), (law, witness) in CORRUPTIONS.items():
+        lat = {"boolean2": boolean_oml(2), "mo2": mo2_oml()}[name]
+        rng = np.random.default_rng(seed)
+        tables = {key: np.array(getattr(lat, key)) for key in ("leq", "meet", "join", "ortho")}
+        t = tables[table]
+        at = tuple(int(rng.integers(k)) for k in t.shape)
+        if table == "leq":
+            t[at] = not t[at]
+        else:
+            t[at] = (t[at] + 1 + int(rng.integers(len(lat) - 1))) % len(lat)
+        with pytest.raises(ValidationFailure) as err:
+            FiniteOML(lat.labels, tables["leq"], tables["meet"], tables["join"],
+                      tables["ortho"], lat.zero, lat.one)
+        assert err.value.invariant == law
+        assert str(err.value).endswith(f"(witness {witness})")
+
+
 def test_finite_oml_rejects_corrupted_tables():
     good = boolean_oml(1)
     meet = np.array(good.meet)
@@ -189,6 +327,22 @@ def test_projection_oml_rotated_basis_closes_to_all_subsets():
     assert len(lat) == 32
     ranks = sorted(round(np.trace(m).real) for m in lat.matrices)
     assert ranks == sorted(bin(mask).count("1") for mask in range(32))
+
+
+def test_projection_oml_honours_tol_in_meets_and_joins():
+    # the line lies 1e-11 out of the plane: under it at tol, so their meet
+    # must be the line itself and not 0
+    plane = np.diag([1.0, 1.0, 0.0])
+    v = np.array([1.0, 0.0, 1e-11]) / np.linalg.norm([1.0, 0.0, 1e-11])
+    line = np.outer(v, v)
+    lat = projection_oml(3, [qcore.Projector(plane), qcore.Projector(line)], tol=1e-9)
+    assert all(r.holds for r in verify_laws(lat, include_informational=False))
+    gaps = lambda m: [np.max(np.abs(e - m)) for e in lat.matrices]
+    i = int(np.argmin(gaps(line)))
+    j = int(np.argmin(gaps(plane)))
+    assert lat.leq[i, j]
+    assert np.max(np.abs(lat.matrices[lat.meet[i, j]] - line)) <= 1e-9
+    assert lat.join[i, j] == j
 
 
 def test_projection_oml_caps_and_collisions():
@@ -491,3 +645,13 @@ def test_lattice_from_json_takes_transitive_closure():
     assert all(r.holds for r in verify_laws(lat, include_informational=False))
     with pytest.raises(ValidationFailure):
         lattice_from_json({"elements": ["0"]})
+
+
+def test_lattice_from_json_refuses_oversize_before_parsing():
+    # the cap is checked before the order is built, so the bad leq entry is
+    # never read
+    labels = [f"x{i}" for i in range(1100)]
+    obj = {"elements": labels, "leq": {"x0": ["nope"]},
+           "ortho": {s: s for s in labels}, "zero": "x0", "one": "x1"}
+    with pytest.raises(SizeCapExceeded):
+        lattice_from_json(obj)

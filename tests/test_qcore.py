@@ -156,6 +156,10 @@ def test_null_space_hand_cases():
     ns = qcore.null_space(np.diag([1.0, 1e-15]))
     assert ns.shape == (2, 1) and abs(ns[1, 0]) == 1.0
     assert qcore.null_space(np.diag([1.0, 1e-14])).shape == (2, 0)
+    # atol raises the cutoff, and never lowers it
+    assert qcore.null_space(np.diag([1.0, 1e-11]), atol=1e-9).shape == (2, 1)
+    assert qcore.null_space(np.diag([1.0, 1e-8]), atol=1e-9).shape == (2, 0)
+    assert qcore.null_space(np.diag([1.0, 1e-15]), atol=1e-20).shape == (2, 1)
 
 
 def test_commutant_dimensions():
