@@ -70,6 +70,7 @@ def _load_json_payload(token: str):
 
 def _operator_matrix(token: str, dim: int) -> np.ndarray:
     """A state/event spec: "basis:K", "uniform", inline JSON, or a file."""
+    qcore.check_dim(dim)
     if token == "uniform":
         return np.eye(dim, dtype=complex) / dim
     if token.startswith("basis:"):

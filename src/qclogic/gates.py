@@ -31,7 +31,7 @@ from .errors import (
     UnknownGate,
     ValidationFailure,
 )
-from .qcore import DensityOperator, Projector, UnitaryGate, born, tensor
+from .qcore import DensityOperator, Projector, UnitaryGate, born, check_dim, tensor
 
 _SQ2 = math.sqrt(2.0)
 
@@ -148,6 +148,7 @@ def elementary(spec: GateSpec, width: int) -> UnitaryGate:
         raise InvalidWire(f"width must be >= 1, got {width}")
     if any(w >= width for w in spec.wires):
         raise InvalidWire(f"wires {spec.wires} do not fit in width {width}")
+    check_dim(2 ** width)
     block = spec.block()
     k = len(spec.wires)
     full = np.kron(block, np.eye(2 ** (width - k), dtype=complex))
@@ -182,7 +183,7 @@ class GateWord:
 
 def compose_word(word: GateWord) -> UnitaryGate:
     """Multiply out a word; the last gate in time is the leftmost factor."""
-    u = np.eye(2 ** word.width, dtype=complex)
+    u = np.eye(check_dim(2 ** word.width), dtype=complex)
     for spec in word.word:
         u = elementary(spec, word.width).matrix @ u
     return UnitaryGate(u)

@@ -1,15 +1,17 @@
 """Finite orthomodular lattices as an abstract computational scheme.
 
 A lattice is stored extensionally: labels, the full order relation, meet and
-join tables, and the orthocomplement map.  Construction always runs a law
-battery (order axioms, glb/lub consistency, orthocomplement laws, the
-orthomodular law); distributivity is checked too but only reported, since
-quantum event lattices fail it.  On top of the lattice sit finitely additive
-states, automorphisms (the abstract gates), pushforwards, generalized
-equivalence of automorphism words, a superposition test, and a protocol
-runner.  Two concrete constructions are provided: the Boolean lattice of
-subsets and the lattice generated by closing a family of projectors under
-meet, join, and complement.
+join tables, and the orthocomplement map.  Construction checks the required
+laws (order axioms, glb/lub consistency, orthocomplement laws, the
+orthomodular law) in order and raises at the first that fails.  Lattice
+commutativity, associativity, absorption and order-consistency are theorems
+of the first six, so they are not computed.  Distributivity is computed but
+only reported, since quantum event lattices fail it.  On top of the lattice
+sit finitely additive states, automorphisms (the abstract gates),
+pushforwards, generalized equivalence of automorphism words, a superposition
+test, and a protocol runner.  Two concrete constructions are provided: the
+Boolean lattice of subsets and the lattice generated by closing a family of
+projectors under meet, join, and complement.
 """
 
 from __future__ import annotations
@@ -75,30 +77,36 @@ def _first_triple(n: int, slab_for: Callable[[int], np.ndarray]) -> tuple[int, .
     return None
 
 
-def _law_battery(labels, leq, meet, join, ortho, zero, one,
-                 informational: bool) -> list[LawReport]:
+def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
+    """Raise :class:`ValidationFailure` at the first required law that fails,
+    in ``REQUIRED_LAWS`` order, naming its first witness.
+
+    Meet and join commutativity and associativity, absorption and
+    order-consistency are not computed: they are theorems of the order
+    axioms, meet-is-glb and join-is-lub (Davey & Priestley, *Introduction to
+    Lattices and Order*, 2002, ch. 2), which are all checked before them.
+    """
     n = len(labels)
     idx = np.arange(n)
-    reports: list[LawReport] = []
 
-    def report(law: str, witness: tuple[int, ...] | None):
-        reports.append(_report(labels, law, witness))
+    def check(law: str, witness: tuple[int, ...] | None) -> None:
+        if witness is not None:
+            raise ValidationFailure(
+                law, 1.0, f"witness {tuple(labels[i] for i in witness)}")
 
     # order axioms
     refl = ~leq[idx, idx]
-    report("reflexive", (int(np.argmax(refl)),) if refl.any() else None)
-    report("antisymmetric", _first_pair(leq & leq.T & ~np.eye(n, dtype=bool)))
+    check("reflexive", (int(np.argmax(refl)),) if refl.any() else None)
+    check("antisymmetric", _first_pair(leq & leq.T & ~np.eye(n, dtype=bool)))
     lf = leq.astype(np.float32)
     # exact: every entry of the product is a count <= n <= MAX_LATTICE < 2**24
     closure = (lf @ lf > 0) & ~leq
     if closure.any():
         a, c = np.unravel_index(int(np.argmax(closure)), closure.shape)
         b = int(np.argmax(leq[a, :] & leq[:, c]))
-        report("transitive", (int(a), b, int(c)))
-    else:
-        report("transitive", None)
+        check("transitive", (int(a), b, int(c)))
     bounds_bad = ~leq[zero, :] | ~leq[:, one]
-    report("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
+    check("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
 
     # meet/join against the order, one (b, c) slab per a
     leq_t = np.ascontiguousarray(leq.T)                  # [b, c] = leq[c, b]
@@ -117,54 +125,29 @@ def _law_battery(labels, leq, meet, join, ortho, zero, one,
         bad_least = leq[a, :] & leq & ~leq[j, :]
         return bad_upper[:, None] | bad_least
 
-    report("meet-is-glb", _first_triple(n, meet_glb_slab))
-    report("join-is-lub", _first_triple(n, join_lub_slab))
-
-    report("meet-commutative", _first_pair(meet != meet.T))
-    report("join-commutative", _first_pair(join != join.T))
-
-    # The gathers write into buffers reused for every a.  Fresh n x n
-    # temporaries page-fault whenever the allocator maps them anew, which
-    # tripled the gather time at n = 512.  mode="clip" lets take write
-    # straight into them; it never clips, since the tables are in range.
-    left, right = np.empty((2, n, n), dtype=np.intp)
-    differ = np.empty((n, n), dtype=bool)
-
-    def assoc_slab(table):
-        def slab(a: int) -> np.ndarray:
-            table.take(table[a], axis=0, out=left, mode="clip")   # (b, c): table[table[a,b], c]
-            table[a].take(table, out=right, mode="clip")          # (b, c): table[a, table[b,c]]
-            return np.not_equal(left, right, out=differ)
-        return slab
-
-    report("meet-associative", _first_triple(n, assoc_slab(meet)))
-    report("join-associative", _first_triple(n, assoc_slab(join)))
-
-    absorb1 = meet[idx[:, None], join] != idx[:, None]   # a ^ (a v b) = a
-    absorb2 = join[idx[:, None], meet] != idx[:, None]
-    report("absorption", _first_pair(absorb1 | absorb2))
-
-    consistency = ((meet == idx[:, None]) != leq) | ((join == idx[None, :]) != leq)
-    report("order-consistency", _first_pair(consistency))
+    check("meet-is-glb", _first_triple(n, meet_glb_slab))
+    check("join-is-lub", _first_triple(n, join_lub_slab))
 
     invol = ortho[ortho] != idx
-    report("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
+    check("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
     comp_bad = (meet[idx, ortho] != zero) | (join[idx, ortho] != one)
-    report("ortho-complement", (int(np.argmax(comp_bad)),) if comp_bad.any() else None)
+    check("ortho-complement", (int(np.argmax(comp_bad)),) if comp_bad.any() else None)
     reversed_leq = leq[np.ix_(ortho, ortho)]             # [a, b] = leq[ortho[a], ortho[b]]
-    report("ortho-order-reversing", _first_pair(leq & ~reversed_leq.T))
+    check("ortho-order-reversing", _first_pair(leq & ~reversed_leq.T))
 
     inner = meet[ortho]                                   # [a, b] = meet[ortho[a], b]
     om_rhs = join[idx[:, None], inner]                    # [a, b] = join[a, inner[a, b]]
-    report("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
-
-    if informational:
-        reports.append(_distributive_report(labels, meet, join))
-    return reports
+    check("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
 
 
 def _distributive_report(labels, meet, join) -> LawReport:
-    """Distributivity, gathered into reused buffers as associativity is."""
+    """Distributivity, one (b, c) slab per a.
+
+    The gathers write into buffers reused for every a.  Fresh n x n
+    temporaries page-fault whenever the allocator maps them anew, which
+    tripled the gather time at n = 512.  mode="clip" lets take write
+    straight into them; it never clips, since the tables are in range.
+    """
     n = len(labels)
     lhs, rows, rhs = np.empty((3, n, n), dtype=np.intp)
     differ = np.empty((n, n), dtype=bool)
@@ -194,8 +177,8 @@ class FiniteOML:
 
     ``leq`` is the full order relation as a boolean matrix; ``meet``,
     ``join`` are n x n index tables; ``ortho`` maps each element index to
-    its orthocomplement.  All required laws are verified at construction,
-    and their reports are kept for :func:`verify_laws`.  Identity of the
+    its orthocomplement.  Construction raises on the first required law
+    that fails, so a built lattice satisfies them all.  Identity of the
     object is used to tie states and automorphisms to their lattice, so
     build one lattice and share it.
     """
@@ -238,13 +221,7 @@ class FiniteOML:
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "join", join)
         object.__setattr__(self, "ortho", ortho)
-        reports = _law_battery(labels, leq, meet, join, ortho,
-                               self.zero, self.one, informational=False)
-        for rep in reports:
-            if not rep.holds:
-                raise ValidationFailure(
-                    rep.law, 1.0, f"witness {rep.witness}")
-        object.__setattr__(self, "_required_reports", tuple(reports))
+        _check_required_laws(labels, leq, meet, join, ortho, self.zero, self.one)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -257,10 +234,11 @@ class FiniteOML:
 
 
 def verify_laws(lattice: FiniteOML, *, include_informational: bool = True) -> list[LawReport]:
-    """The law reports of a built lattice: the required laws as its
-    constructor checked them (its tables are read-only, so they still hold),
-    followed by distributivity unless ``include_informational`` is false."""
-    reports = list(lattice._required_reports)
+    """The law reports of a built lattice: every required law holds, since
+    the constructor refused any table that breaks one and the tables are
+    read-only, followed by distributivity unless ``include_informational``
+    is false."""
+    reports = [LawReport(law, True) for law in REQUIRED_LAWS]
     if include_informational:
         reports.append(_distributive_report(lattice.labels, lattice.meet, lattice.join))
     return reports

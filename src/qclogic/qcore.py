@@ -31,15 +31,22 @@ DEFAULT_TOL = 1e-9
 MAX_DIM = 2 ** 10
 
 
+def check_dim(dim: int, *, max_dim: int = MAX_DIM) -> int:
+    """Refuse a matrix dimension outside 1..max_dim; call it before
+    allocating a dim x dim matrix."""
+    if dim < 1:
+        raise ValidationFailure("nonempty", 0.0)
+    if dim > max_dim:
+        raise SizeCapExceeded(f"dimension {dim} exceeds cap {max_dim}")
+    return dim
+
+
 def as_square_matrix(data, *, max_dim: int = MAX_DIM) -> np.ndarray:
     """Coerce to a read-only square complex ndarray, or raise."""
     m = np.array(data, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationFailure("square", 0.0, f"shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValidationFailure("nonempty", 0.0)
-    if m.shape[0] > max_dim:
-        raise SizeCapExceeded(f"dimension {m.shape[0]} exceeds cap {max_dim}")
+    check_dim(m.shape[0], max_dim=max_dim)
     if not np.all(np.isfinite(m.view(float))):
         raise ValidationFailure("finite", float("inf"))
     m.setflags(write=False)
@@ -362,13 +369,17 @@ def matrix_to_json(matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; validates lengths."""
+    """Inverse of :func:`matrix_to_json`; validates the dimension against
+    the cap before allocating, and the type and length of ``re`` and ``im``."""
     try:
         dim = int(obj["dim"])
         re = obj["re"]
-        im = obj.get("im", [0.0] * (dim * dim))
     except (KeyError, TypeError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"missing field: {exc}")
+    check_dim(dim)
+    im = obj["im"] if "im" in obj else [0.0] * (dim * dim)
+    if not (isinstance(re, list) and isinstance(im, list)):
+        raise ValidationFailure("matrix-json", 0.0, "re and im must be lists")
     if len(re) != dim * dim or len(im) != dim * dim:
         raise ValidationFailure(
             "matrix-json", 0.0,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from qclogic.omlattice import LawReport
+
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -90,3 +92,92 @@ def classical_step(name: str, wires: tuple[int, ...], index: int, width: int) ->
         return (flip_bit(index, t, width)
                 if bit_of(index, c1, width) and bit_of(index, c2, width) else index)
     raise ValueError(name)
+
+
+# The full lattice law battery, every law computed on its own tables: the
+# seventeen laws (sixteen required, then distributivity) in report order,
+# each with its first witness.  The package computes only the ten required
+# laws that are not theorems of earlier ones, and must agree with this.
+def _first_pair(mask: np.ndarray) -> tuple[int, ...] | None:
+    if not mask.any():
+        return None
+    a, b = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return (int(a), int(b))
+
+
+def _first_triple(n: int, slab_for) -> tuple[int, ...] | None:
+    for a in range(n):
+        slab = slab_for(a)
+        if slab.any():
+            b, c = np.unravel_index(int(np.argmax(slab)), slab.shape)
+            return (a, int(b), int(c))
+    return None
+
+
+def law_battery(labels, leq, meet, join, ortho, zero, one) -> list[LawReport]:
+    n = len(labels)
+    idx = np.arange(n)
+    reports: list[LawReport] = []
+
+    def report(law: str, witness: tuple[int, ...] | None):
+        reports.append(LawReport(law, witness is None, None if witness is None
+                                 else tuple(labels[i] for i in witness)))
+
+    refl = ~leq[idx, idx]
+    report("reflexive", (int(np.argmax(refl)),) if refl.any() else None)
+    report("antisymmetric", _first_pair(leq & leq.T & ~np.eye(n, dtype=bool)))
+    closure = (leq.astype(np.int64) @ leq.astype(np.int64) > 0) & ~leq
+    if closure.any():
+        a, c = np.unravel_index(int(np.argmax(closure)), closure.shape)
+        b = int(np.argmax(leq[a, :] & leq[:, c]))
+        report("transitive", (int(a), b, int(c)))
+    else:
+        report("transitive", None)
+    bounds_bad = ~leq[zero, :] | ~leq[:, one]
+    report("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
+
+    leq_t = leq.T
+
+    def meet_glb_slab(a: int) -> np.ndarray:
+        m = meet[a]
+        bad_lower = ~(leq[m, a] & leq[m, idx])
+        bad_greatest = leq[:, a] & leq_t & ~leq_t[m]
+        return bad_lower[:, None] | bad_greatest
+
+    def join_lub_slab(a: int) -> np.ndarray:
+        j = join[a]
+        bad_upper = ~(leq[a, j] & leq[idx, j])
+        bad_least = leq[a, :] & leq & ~leq[j, :]
+        return bad_upper[:, None] | bad_least
+
+    report("meet-is-glb", _first_triple(n, meet_glb_slab))
+    report("join-is-lub", _first_triple(n, join_lub_slab))
+    report("meet-commutative", _first_pair(meet != meet.T))
+    report("join-commutative", _first_pair(join != join.T))
+
+    def assoc_slab(table):
+        return lambda a: table[table[a], :] != table[a][table]
+
+    report("meet-associative", _first_triple(n, assoc_slab(meet)))
+    report("join-associative", _first_triple(n, assoc_slab(join)))
+    absorb1 = meet[idx[:, None], join] != idx[:, None]
+    absorb2 = join[idx[:, None], meet] != idx[:, None]
+    report("absorption", _first_pair(absorb1 | absorb2))
+    consistency = ((meet == idx[:, None]) != leq) | ((join == idx[None, :]) != leq)
+    report("order-consistency", _first_pair(consistency))
+
+    invol = ortho[ortho] != idx
+    report("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
+    comp_bad = (meet[idx, ortho] != zero) | (join[idx, ortho] != one)
+    report("ortho-complement", (int(np.argmax(comp_bad)),) if comp_bad.any() else None)
+    reversed_leq = leq[np.ix_(ortho, ortho)]
+    report("ortho-order-reversing", _first_pair(leq & ~reversed_leq.T))
+    om_rhs = join[idx[:, None], meet[ortho]]
+    report("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
+
+    def distributive_slab(a: int) -> np.ndarray:
+        ma = meet[a]
+        return ma[join] != join[ma[:, None], ma[None, :]]
+
+    report("distributive", _first_triple(n, distributive_slab))
+    return reports

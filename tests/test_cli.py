@@ -58,6 +58,31 @@ def test_check_equiv_missing_context_is_exit_2(capsys):
     assert err.startswith("error:") and "--state" in err
 
 
+@pytest.mark.parametrize("state, detail", [
+    ('{"dim": 2, "re": 5}', "'matrix-json'"),
+    ('{"dim": 2, "re": [1, 0, 0, 0], "im": "abcd"}', "'matrix-json'"),
+    ('{"dim": 10000000, "re": [1], "im": [0]}', "dimension 10000000 exceeds cap 1024"),
+])
+def test_malformed_matrix_json_is_exit_2(capsys, state, detail):
+    code, out, err = run_cli(capsys, "check-equiv", "H", "H",
+                             "--relation", "equiv_rho", "--state", state)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and detail in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (("check-equiv", "width=20; H[0]", "H[0]"), 2 ** 20),
+    (("quotient", "--generators", "G1", "--width", "20", "--max-len", "1",
+      "--state", "basis:0", "--event", "basis:0"), 2 ** 20),
+    (("truth-table", "width=11; X[10]", "--state", "uniform"), 2 ** 11),
+])
+def test_register_past_the_dimension_cap_is_exit_2(capsys, argv, dim):
+    # the cap is checked before any dim x dim matrix is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: dimension {dim} exceeds cap 1024\n"
+
+
 def test_check_equiv_widths_unify(capsys):
     code, payload = run_json(capsys, "check-equiv", "H[0]", "CNOT[0,1]",
                              "--relation", "equiv_rho_P",

@@ -21,7 +21,6 @@ from qclogic.omlattice import (
     ComputationalScheme,
     FiniteOML,
     LatticeState,
-    _law_battery,
     atom_indices,
     boolean_oml,
     compose_automorphisms,
@@ -110,6 +109,19 @@ def test_benzene_ring_is_rejected_as_not_orthomodular():
     with pytest.raises(ValidationFailure) as err:
         from_order(labels, leq, ortho, 0, 5)
     assert err.value.invariant == "orthomodular"
+
+
+def test_complement_that_keeps_the_order_is_rejected():
+    # two chains 0 < a < b < 1 and 0 < c < d < 1, with a <-> c and b <-> d:
+    # complements, but a <= b while b' = d is not below a' = c
+    labels = ("0", "a", "b", "c", "d", "1")
+    leq = np.eye(6, dtype=bool)
+    leq[0, :] = leq[:, 5] = True
+    leq[1, 2] = leq[3, 4] = True
+    with pytest.raises(ValidationFailure) as err:
+        from_order(labels, leq, [5, 3, 4, 1, 2, 0], 0, 5)
+    assert err.value.invariant == "ortho-order-reversing"
+    assert str(err.value).endswith("(witness ('a', 'b'))")
 
 
 def test_from_order_rejects_missing_bounds():
@@ -220,10 +232,101 @@ def test_verify_laws_equals_a_fresh_battery():
         projection_oml(4, [qcore.Projector(np.diag([1.0, 1.0, 0.0, 0.0])),
                            qcore.Projector(np.diag([1.0, 0.0, 1.0, 0.0]))])]
     for lat in lattices:
-        fresh = _law_battery(lat.labels, lat.leq, lat.meet, lat.join, lat.ortho,
-                             lat.zero, lat.one, informational=True)
+        fresh = helpers.law_battery(lat.labels, lat.leq, lat.meet, lat.join, lat.ortho,
+                                    lat.zero, lat.one)
         assert verify_laws(lat) == fresh
         assert verify_laws(lat, include_informational=False) == fresh[:-1]
+
+
+def battery_outcome(labels, leq, meet, join, ortho, zero, one):
+    """What the constructor must do with these tables, by the full battery:
+    the message of the first required law that fails, or every report."""
+    reports = helpers.law_battery(labels, leq, meet, join, ortho, zero, one)
+    for rep in reports[:len(REQUIRED_LAWS)]:
+        if not rep.holds:
+            return str(ValidationFailure(rep.law, 1.0, f"witness {rep.witness}"))
+    return reports
+
+
+def construction_outcome(labels, leq, meet, join, ortho, zero, one):
+    try:
+        lat = FiniteOML(labels, leq, meet, join, ortho, zero, one)
+    except ValidationFailure as exc:
+        return str(exc)
+    return verify_laws(lat)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """One to three entries of one table of a small lattice changed."""
+    lat = draw(st.sampled_from([lambda: boolean_oml(1), lambda: boolean_oml(2),
+                                mo2_oml, quantum_mo2]))()
+    n = len(lat)
+    tables = {key: np.array(getattr(lat, key)) for key in ("leq", "meet", "join", "ortho")}
+    t = tables[draw(st.sampled_from(sorted(tables)))]
+    for _ in range(draw(st.integers(1, 3))):
+        at = tuple(draw(st.integers(0, k - 1)) for k in t.shape)
+        t[at] = (not t[at]) if t.dtype == bool else draw(st.integers(0, n - 1))
+    return (lat.labels, tables["leq"], tables["meet"], tables["join"], tables["ortho"],
+            lat.zero, lat.one)
+
+
+@st.composite
+def arbitrary_tables(draw):
+    n = draw(st.integers(1, 8))
+    cells = st.integers(0, n - 1)
+    leq = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(leq, True)
+    meet, join = (np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+                  for _ in range(2))
+    ortho = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    return (tuple(str(k) for k in range(n)), leq, meet, join, ortho,
+            draw(cells), draw(cells))
+
+
+@st.composite
+def complemented_families(draw):
+    """Families of subsets of four atoms closed under complement, ordered by
+    inclusion: often lattices, and among them non-orthomodular ones such as
+    the benzene ring.  Half of them pair the elements up at random instead
+    of by complement."""
+    masks = draw(st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True))
+    masks = sorted(set(masks) | {15 ^ m for m in masks} | {0, 15})
+    m = np.array(masks)
+    leq = (m[:, None] & ~m[None, :]) == 0
+    ortho = [masks.index(15 ^ x) for x in masks]
+    if draw(st.booleans()):                    # some other involution
+        perm = draw(st.permutations(range(len(masks))))
+        for x, y in zip(perm[::2], perm[1::2]):
+            ortho[x], ortho[y] = y, x
+    return tuple(f"s{x}" for x in masks), leq, ortho, 0, len(masks) - 1
+
+
+@st.composite
+def order_tables(draw):
+    """Meet and join read off a relation, as the first greatest lower and
+    least upper bound (or element 0 where there is none), so that the
+    orthocomplement laws and orthomodularity are reached too."""
+    labels, leq, ortho, zero, one = draw(st.one_of(relations(), complemented_families()))
+    n = len(labels)
+    meet = np.zeros((n, n), dtype=np.intp)
+    join = np.zeros((n, n), dtype=np.intp)
+    for a in range(n):
+        for b in range(n):
+            lower = [c for c in range(n) if leq[c, a] and leq[c, b]]
+            upper = [c for c in range(n) if leq[a, c] and leq[b, c]]
+            glb = [c for c in lower if all(leq[x, c] for x in lower)]
+            lub = [c for c in upper if all(leq[c, x] for x in upper)]
+            meet[a, b] = glb[0] if glb else 0
+            join[a, b] = lub[0] if lub else 0
+    return labels, leq, meet, join, np.array(ortho), zero, one
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corrupted_tables(), arbitrary_tables(), order_tables()))
+def test_construction_agrees_with_the_full_battery(tables):
+    assert construction_outcome(*tables) == battery_outcome(*tables)
 
 
 # (lattice, corrupted table, seed) -> the law the constructor names, and its witness
