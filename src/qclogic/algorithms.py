@@ -22,7 +22,7 @@ from .errors import (
     ValidationFailure,
     WidthMismatch,
 )
-from .gates import GateSpec, elementary, fourier_matrix
+from .gates import GateSpec, elementary, fourier_matrix, permutation_gate
 from .qcore import DensityOperator, Projector, UnitaryGate, born, conjugate, tensor
 
 
@@ -87,15 +87,9 @@ def build_oracle(f: OracleFunction) -> UnitaryGate:
     matrix is the permutation of basis states this rule describes.
     """
     n, m = f.domain_bits, f.codomain_bits
-    size = 2 ** (n + m)
-    matrix = np.zeros((size, size), dtype=complex)
-    for x in range(2 ** n):
-        fx = int(f(format(x, f"0{n}b") if n else ""), 2)
-        for y in range(2 ** m):
-            src = x * 2 ** m + y
-            dst = x * 2 ** m + (y ^ fx)
-            matrix[dst, src] = 1.0
-    return UnitaryGate(matrix)
+    fx = [int(f(format(x, f"0{n}b") if n else ""), 2) for x in range(2 ** n)]
+    return permutation_gate([x * 2 ** m + (y ^ fx[x])
+                             for x in range(2 ** n) for y in range(2 ** m)])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Elementary gate matrices, register embedding, words, and enumeration.
+"""Elementary gate matrices, the gate kernel, words, and enumeration.
 
 Conventions, fixed once for the whole package:
 
@@ -6,6 +6,8 @@ Conventions, fixed once for the whole package:
     i = sum_w bit_w * 2**(width-1-w) (wire 0 is the most significant bit);
   * a word lists gates in time order; the composed matrix multiplies them
     in reverse, last gate leftmost;
+  * a gate is applied by contracting its block against its wires' axes of
+    a 2**width-row matrix; no full matrix of a single gate is formed;
   * H = (1/sqrt 2)[[1, 1], [1, -1]], T = diag(1, e^{i pi/4}),
     R(phi) = diag(1, e^{i phi}), XX(phi) = exp(-i phi (X x X) / 2),
     CNOT takes (control, target), TOFFOLI (control, control, target),
@@ -27,11 +29,13 @@ from .errors import (
     EnumerationCapExceeded,
     InvalidWire,
     ParseError,
+    SizeCapExceeded,
     UnboundedParameter,
     UnknownGate,
     ValidationFailure,
 )
-from .qcore import DensityOperator, Projector, UnitaryGate, born, check_dim, tensor
+from .qcore import (MAX_DIM, DensityOperator, Projector, UnitaryGate, born,
+                    check_dim, conjugate, tensor)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -120,7 +124,7 @@ class GateSpec:
             raise InvalidWire(f"repeated wire in {self.wires}")
 
     def block(self) -> np.ndarray:
-        """The gate's matrix on its own wires, before embedding."""
+        """The gate's matrix on its own wires, as the kernel applies it."""
         if self.name == "H":
             return _H
         if self.name == "T":
@@ -142,23 +146,31 @@ class GateSpec:
         return fourier_matrix(2 ** len(self.wires))
 
 
+def register_dim(width: int) -> int:
+    """2**width for a register, refused past ``MAX_DIM``; past 64 wires the
+    refusal comes before the power is computed and names it as a power."""
+    if width > 64:
+        raise SizeCapExceeded(f"dimension 2**{width} exceeds cap {MAX_DIM}")
+    return check_dim(2 ** width)
+
+
+def _apply(spec: GateSpec, m: np.ndarray, width: int) -> np.ndarray:
+    """The gate applied to the rows of ``m``, a matrix with 2**width rows."""
+    k = len(spec.wires)
+    block = spec.block().reshape([2] * (2 * k))
+    tens = m.reshape([2] * width + [-1])
+    out = np.tensordot(block, tens, axes=(range(k, 2 * k), spec.wires))
+    return np.moveaxis(out, range(k), spec.wires).reshape(m.shape)
+
+
 def elementary(spec: GateSpec, width: int) -> UnitaryGate:
-    """Embed a gate into a register of ``width`` wires."""
+    """A gate on a register of ``width`` wires: the kernel applied to the
+    identity, so the block acts on ``spec.wires`` and nothing else."""
     if width < 1:
         raise InvalidWire(f"width must be >= 1, got {width}")
     if any(w >= width for w in spec.wires):
         raise InvalidWire(f"wires {spec.wires} do not fit in width {width}")
-    check_dim(2 ** width)
-    block = spec.block()
-    k = len(spec.wires)
-    full = np.kron(block, np.eye(2 ** (width - k), dtype=complex))
-    order = list(spec.wires) + [w for w in range(width) if w not in spec.wires]
-    if order != list(range(width)):
-        tens = full.reshape([2] * (2 * width))
-        src = list(range(2 * width))
-        dst = [order[j] for j in range(width)] + [width + order[j] for j in range(width)]
-        full = np.moveaxis(tens, src, dst).reshape(2 ** width, 2 ** width)
-    return UnitaryGate(full)
+    return UnitaryGate(_apply(spec, np.eye(register_dim(width), dtype=complex), width))
 
 
 @dataclass(frozen=True)
@@ -182,10 +194,11 @@ class GateWord:
 
 
 def compose_word(word: GateWord) -> UnitaryGate:
-    """Multiply out a word; the last gate in time is the leftmost factor."""
-    u = np.eye(check_dim(2 ** word.width), dtype=complex)
+    """Multiply out a word, the last gate in time leftmost, applying each
+    gate with the kernel; only the product is validated."""
+    u = np.eye(register_dim(word.width), dtype=complex)
     for spec in word.word:
-        u = elementary(spec, word.width).matrix @ u
+        u = _apply(spec, u, word.width)
     return UnitaryGate(u)
 
 
@@ -411,6 +424,5 @@ def toffoli_truth_value(rho: DensityOperator, sigma: DensityOperator) -> float:
     gate = elementary(GateSpec("TOFFOLI", (0, 1, 2)), 3)
     state = DensityOperator(tensor(tensor(rho.matrix, sigma.matrix), ket0),
                             max(rho.tolerance, sigma.tolerance))
-    after = gate.matrix @ state.matrix @ gate.matrix.conj().T
     event = Projector(tensor(np.eye(4), ket1))
-    return born(DensityOperator(after, state.tolerance), event)
+    return born(conjugate(gate, state), event)

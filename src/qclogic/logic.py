@@ -15,6 +15,7 @@ Failed quantified relations come with an explicit separating witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -320,13 +321,6 @@ class QuotientPartition:
         }
 
 
-def _within(a: np.ndarray | float, b: np.ndarray | float, tol: float) -> bool:
-    """Whether two truth values, or two evolved states, agree at ``tol``."""
-    if isinstance(a, float):
-        return abs(a - b) <= tol
-    return float(np.max(np.abs(a - b))) <= tol
-
-
 def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
              p: Projector | None = None, tol: float = DEFAULT_TOL) -> QuotientPartition:
     """Partition words by equiv_rho or equiv_rho_P at a fixed context.
@@ -349,34 +343,33 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
     for w in words:
         if w.width != width:
             raise DimensionMismatch(f"word widths differ: {w.width} vs {width}")
-    if rho.dim != 2 ** width:
-        raise DimensionMismatch(f"state dim {rho.dim} vs register dim {2 ** width}")
-    if p is not None and p.dim != 2 ** width:
-        raise DimensionMismatch(f"event dim {p.dim} vs register dim {2 ** width}")
+    for what, op in (("state", rho), ("event", p)):
+        # log2 of a power of two is exact, and no 2**width is formed
+        if op is not None and math.log2(op.dim) != width:
+            raise DimensionMismatch(f"{what} dim {op.dim} vs register width {width}")
 
     classes: list[list[GateWord]] = []
-    reps: list[np.ndarray | float] = []
     keys: list[tuple] = []
     by_key: dict[tuple, int] = {}
+    # class representatives, stacked; complex holds a truth value exactly
+    shape = rho.matrix.shape if relation == "equiv_rho" else ()
+    reps = np.empty((0,) + shape, dtype=complex)
     for w in words:
         u = compose_word(w)
         if relation == "equiv_rho":
-            data: np.ndarray | float = conjugate(u, rho).matrix
+            data = conjugate(u, rho).matrix
             key = entry_key(data, 9)
         else:
             data = truth_value(u, rho, p)
             key = (round(data, 9) + 0.0,)
+        dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
         idx = by_key.get(key)
-        if idx is not None and not _within(data, reps[idx], tol):
-            idx = None
-        if idx is None:
-            for j, rep in enumerate(reps):
-                if _within(data, rep, tol):
-                    idx = j
-                    break
+        if idx is None or dist[idx] > tol:
+            near = np.flatnonzero(dist <= tol)
+            idx = int(near[0]) if near.size else None
         if idx is None:
             classes.append([w])
-            reps.append(data)
+            reps = np.concatenate([reps, [data]])
             keys.append(key)
             by_key[key] = len(classes) - 1
         else:

@@ -62,6 +62,22 @@ def truth_value_oracle(u: np.ndarray, rho: np.ndarray, p: np.ndarray) -> float:
     return float(np.trace(u @ rho @ u.conj().T @ p).real)
 
 
+def dense_embedding(spec, width: int) -> np.ndarray:
+    """A gate's 2**width x 2**width matrix: its block (the package's own)
+    tensored with the identity on the other wires, then wire axes permuted
+    into place; the route the gate kernel replaced."""
+    block = spec.block()
+    k = len(spec.wires)
+    full = np.kron(block, np.eye(2 ** (width - k), dtype=complex))
+    order = list(spec.wires) + [w for w in range(width) if w not in spec.wires]
+    if order != list(range(width)):
+        tens = full.reshape([2] * (2 * width))
+        src = list(range(2 * width))
+        dst = [order[j] for j in range(width)] + [width + order[j] for j in range(width)]
+        full = np.moveaxis(tens, src, dst).reshape(2 ** width, 2 ** width)
+    return full
+
+
 def mat2_mult(a, b):
     """2x2 complex product on plain nested lists, for package-free checks."""
     return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]

@@ -4,6 +4,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_register_past_the_dimension_cap_is_exit_2(capsys, argv, dim):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: dimension {dim} exceeds cap 1024\n"
+
+
+@pytest.mark.parametrize("width", [100_000, 100_000_000])
+@pytest.mark.parametrize("verb", [
+    ("check-equiv", "width={}; H[0]", "H"),
+    ("truth-table", "width={}; H[0]", "--state", "uniform"),
+    ("quotient", "--word", "width={}; H[0]", "--state", "basis:0", "--event", "basis:0"),
+])
+def test_huge_register_width_is_refused_before_its_dimension(capsys, verb, width):
+    argv = [a.format(width) for a in verb]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: dimension 2**{width} exceeds cap 1024\n"
 
 
 def test_check_equiv_widths_unify(capsys):

@@ -1,6 +1,11 @@
+import math
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qclogic import gates, qcore
@@ -9,6 +14,7 @@ from qclogic.errors import (
     EnumerationCapExceeded,
     InvalidWire,
     ParseError,
+    SizeCapExceeded,
     UnboundedParameter,
     UnknownGate,
     ValidationFailure,
@@ -123,6 +129,63 @@ def test_compose_word_time_order():
     assert np.array_equal(empty.matrix, np.eye(4))
     hh = GateWord(1, (GateSpec("H", (0,)), GateSpec("H", (0,))))
     assert np.max(np.abs(gates.compose_word(hh).matrix - np.eye(2))) < 1e-12
+
+
+GATE_NAMES = ("H", "T", "X", "Z", "R", "CNOT", "XX", "TOFFOLI", "QFT")
+PERMUTATION_LIKE = ("X", "Z", "CNOT", "TOFFOLI")
+
+
+@st.composite
+def gate_words(draw):
+    """Words of width 1-5 and up to 8 gates over every gate name, QFT on
+    any wire subset in any order."""
+    width = draw(st.integers(1, 5))
+    pool = draw(st.sampled_from([GATE_NAMES, PERMUTATION_LIKE]))
+    names = [n for n in pool if gates.wire_count(n) <= width]
+    specs = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(names))
+        k = draw(st.integers(1, width)) if name == "QFT" else gates.wire_count(name)
+        wires = draw(st.permutations(range(width)))[:k]
+        param = (draw(st.floats(-2 * math.pi, 2 * math.pi))
+                 if name in ("R", "XX") else None)
+        specs.append(GateSpec(name, wires, param))
+    return GateWord(width, tuple(specs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_words())
+def test_compose_word_matches_dense_embeddings(word):
+    want = np.eye(2 ** word.width, dtype=complex)
+    for spec in word.word:
+        want = helpers.dense_embedding(spec, word.width) @ want
+    got = gates.compose_word(word).matrix
+    if all(s.name in PERMUTATION_LIKE for s in word.word):
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_elementary_matches_dense_embedding_exactly():
+    for spec in (GateSpec("QFT", (2, 0, 3)), GateSpec("XX", (3, 1), 0.7),
+                 GateSpec("TOFFOLI", (2, 3, 0)), GateSpec("R", (2,), 1.3),
+                 GateSpec("CNOT", (3, 0)), GateSpec("H", (1,))):
+        assert np.array_equal(gates.elementary(spec, 4).matrix,
+                              helpers.dense_embedding(spec, 4))
+
+
+def test_register_dim_refuses_past_the_cap():
+    assert gates.register_dim(1) == 2 and gates.register_dim(10) == 1024
+    with pytest.raises(SizeCapExceeded, match=r"^dimension 2048 exceeds cap 1024$"):
+        gates.register_dim(11)
+    start = time.perf_counter()
+    for width in (100_000, 100_000_000):
+        with pytest.raises(SizeCapExceeded,
+                           match=rf"^dimension 2\*\*{width} exceeds cap 1024$"):
+            gates.compose_word(GateWord(width, (GateSpec("H", (0,)),)))
+        with pytest.raises(SizeCapExceeded, match="exceeds cap 1024"):
+            gates.elementary(GateSpec("H", (0,)), width)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_permutation_gate():

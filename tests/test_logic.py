@@ -1,5 +1,10 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qclogic import gates, logic, qcore
@@ -261,6 +266,69 @@ def test_quotient_input_validation():
     with pytest.raises(DimensionMismatch):
         quotient(words, "equiv_rho", qcore.DensityOperator(np.eye(4) / 4))
     assert quotient([], "equiv_rho", ZERO).classes == ()
+    # the register dimension is not formed, so a huge width is a mismatch
+    wide = [gates.parse_word("width=100000; H[0]")]
+    for relation, event in (("equiv_rho", None), ("equiv_rho_P", P_ZERO)):
+        with pytest.raises(DimensionMismatch):
+            quotient(wide, relation, qcore.DensityOperator(np.eye(4) / 4), event)
+
+
+# small word lists: G1 at widths 1-2, G2 at width 2 over a phase grid
+QUOTIENT_POOLS = (
+    gates.enumerate_polynomials(gates.generator_set("G1"), 1, 4),
+    gates.enumerate_polynomials(gates.generator_set("G1"), 2, 2),
+    gates.enumerate_polynomials(gates.generator_set("G2", phases=(0.7, 2.3)), 2, 2),
+)
+
+
+@st.composite
+def quotient_cases(draw):
+    pool = draw(st.sampled_from(QUOTIENT_POOLS))
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+    dim = 2 ** words[0].width
+    gen = helpers.rng(draw(st.integers(0, 2 ** 16)))
+    rho = draw(st.sampled_from([helpers.basis_state(dim, 0), np.eye(dim) / dim,
+                                helpers.random_pure(gen, dim)]))
+    p = draw(st.sampled_from([helpers.basis_state(dim, dim - 1),
+                              helpers.random_projector(gen, dim)]))
+    relation = draw(st.sampled_from(["equiv_rho_P", "equiv_rho"]))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3]))
+    return words, relation, rho, p, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_cases())
+def test_quotient_members_near_first_and_representatives_apart(case):
+    words, relation, rho, p, tol = case
+    part = quotient(words, relation, qcore.DensityOperator(rho),
+                    qcore.Projector(p), tol)
+    assert Counter(w for cls in part.classes for w in cls) == Counter(words)
+    assert len(part.keys) == len(part.classes)
+
+    # the package's own invariants, so that comparisons at tol are exact
+    def invariant(word):
+        u = gates.compose_word(word)
+        if relation == "equiv_rho_P":
+            return np.array(truth_value(u, qcore.DensityOperator(rho), qcore.Projector(p)))
+        return qcore.conjugate(u, qcore.DensityOperator(rho)).matrix
+
+    reps = []
+    for cls in part.classes:
+        first = invariant(cls[0])
+        for w in cls[1:]:
+            assert np.max(np.abs(invariant(w) - first)) <= tol
+        for earlier in reps:
+            assert np.max(np.abs(first - earlier)) > tol
+        reps.append(first)
+
+
+def test_quotient_joins_the_first_representative_within_tol():
+    # truth values 1.0, 0.8, 0.9 at |0>: 0.9 is within 0.15 of both classes
+    words = [gates.parse_word("width=1")] + [
+        gates.parse_word(f"width=1; H[0]; R({2 * math.acos(math.sqrt(t))!r})[0]; H[0]")
+        for t in (0.8, 0.9)]
+    part = quotient(words, "equiv_rho_P", ZERO, P_ZERO, tol=0.15)
+    assert part.classes == ((words[0], words[2]), (words[1],))
 
 
 def test_equiv_rho_on_bases_is_a_screen():
