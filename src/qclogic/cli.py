@@ -88,12 +88,21 @@ def _parse_words(texts: list[str]) -> list[gates.GateWord]:
     return [gates.GateWord(width, w.word) for w in words]
 
 
-def _need(args, attr: str, what: str):
-    value = getattr(args, attr, None)
-    if value is None:
+# the context each relation is decided at, in the order its function takes it
+_CONTEXT = {"equiv_total": (), "equiv_rho": ("state",), "leq_rho": ("state",),
+            "equiv_P": ("event",), "leq_P": ("event",),
+            "equiv_rho_P": ("state", "event"), "leq_rho_P": ("state", "event")}
+
+
+def _operand(args, attr: str, dim: int):
+    """The validated state or event that ``--state``/``--event`` names."""
+    cls, what = {"state": (qcore.DensityOperator, "a state"),
+                 "event": (qcore.Projector, "an event")}[attr]
+    token = getattr(args, attr, None)
+    if token is None:
         raise ValidationFailure("cli-context", 0.0,
                                 f"this relation needs {what} (--{attr})")
-    return value
+    return cls(_operator_matrix(token, dim))
 
 
 def _cmd_check_equiv(args) -> int:
@@ -101,23 +110,8 @@ def _cmd_check_equiv(args) -> int:
     dim = gates.register_dim(wa.width)
     u = gates.compose_word(wa)
     v = gates.compose_word(wb)
-    tol = args.tol
-    rel = args.relation
-    if rel in ("equiv_rho_P", "leq_rho_P"):
-        rho = qcore.DensityOperator(_operator_matrix(_need(args, "state", "a state"), dim))
-        p = qcore.Projector(_operator_matrix(_need(args, "event", "an event"), dim))
-        fn = logic.equiv_rho_P if rel == "equiv_rho_P" else logic.leq_rho_P
-        report = fn(u, v, rho, p, tol)
-    elif rel in ("equiv_rho", "leq_rho"):
-        rho = qcore.DensityOperator(_operator_matrix(_need(args, "state", "a state"), dim))
-        fn = logic.equiv_rho if rel == "equiv_rho" else logic.leq_rho
-        report = fn(u, v, rho, tol)
-    elif rel in ("equiv_P", "leq_P"):
-        p = qcore.Projector(_operator_matrix(_need(args, "event", "an event"), dim))
-        fn = logic.equiv_P if rel == "equiv_P" else logic.leq_P
-        report = fn(u, v, p, tol)
-    else:
-        report = logic.equiv_total(u, v, tol)
+    context = [_operand(args, attr, dim) for attr in _CONTEXT[args.relation]]
+    report = getattr(logic, args.relation)(u, v, *context, args.tol)
     payload = report.to_json_dict()
     payload["word_a"] = gates.format_word(wa)
     payload["word_b"] = gates.format_word(wb)
@@ -129,12 +123,9 @@ def _cmd_truth_table(args) -> int:
     word = _parse_words([args.word])[0]
     dim = gates.register_dim(word.width)
     u = gates.compose_word(word)
-    rho = qcore.DensityOperator(_operator_matrix(args.state, dim))
-    if args.event:
-        events = [(t, qcore.Projector(_operator_matrix(t, dim))) for t in args.event]
-    else:
-        events = [(f"basis:{k}", qcore.Projector(_operator_matrix(f"basis:{k}", dim)))
-                  for k in range(dim)]
+    rho = _operand(args, "state", dim)
+    tokens = args.event or [f"basis:{k}" for k in range(dim)]
+    events = [(t, qcore.Projector(_operator_matrix(t, dim))) for t in tokens]
     payload = {
         "word": gates.format_word(word),
         "state": args.state,
@@ -149,6 +140,7 @@ def _collect_words(args) -> list[gates.GateWord]:
         return _parse_words(args.word)
     if args.generators:
         gen = gates.generator_set(args.generators, phases=args.phase or None)
+        gates.register_dim(args.width)
         return gates.enumerate_polynomials(gen, args.width, args.max_len,
                                            max_words=args.max_words)
     raise ValidationFailure("cli-context", 0.0,
@@ -158,10 +150,8 @@ def _collect_words(args) -> list[gates.GateWord]:
 def _cmd_quotient(args) -> int:
     words = _collect_words(args)
     dim = gates.register_dim(words[0].width)
-    rho = qcore.DensityOperator(_operator_matrix(args.state, dim))
-    p = None
-    if args.relation == "equiv_rho_P":
-        p = qcore.Projector(_operator_matrix(_need(args, "event", "an event"), dim))
+    rho = _operand(args, "state", dim)
+    p = _operand(args, "event", dim) if args.relation == "equiv_rho_P" else None
     part = logic.quotient(words, args.relation, rho, p, args.tol)
     _emit(part.to_json_dict(), args)
     return 0
@@ -217,7 +207,7 @@ def _cmd_boolean_recover(args) -> int:
                                 "this demo closes the full event lattice; use 1 or 2 bits")
     dim = 2 ** bits
     basis = [qcore.Projector(_operator_matrix(f"basis:{k}", dim)) for k in range(dim)]
-    events = qcore.boolean_projections(basis)
+    states = [qcore.DensityOperator(p.matrix) for p in basis]
     lattice = omlattice.projection_oml(dim, basis)
     reports = omlattice.verify_laws(lattice)
     by_law = {r.law: r.holds for r in reports}
@@ -238,16 +228,14 @@ def _cmd_boolean_recover(args) -> int:
             out = start
             for s in specs:
                 out = _classical_apply(s, out, bits)
-            rho = qcore.DensityOperator(_operator_matrix(f"basis:{start}", dim))
             for k in range(dim):
-                tv = logic.truth_value(u, rho, qcore.Projector(
-                    _operator_matrix(f"basis:{k}", dim)))
+                tv = logic.truth_value(u, states[start], basis[k])
                 cases += 1
                 if abs(tv - (1.0 if k == out else 0.0)) > 1e-9:
                     mismatches += 1
     payload = {
         "bits": bits,
-        "event_count": len(events),
+        "event_count": len(lattice),
         "expected_events": 2 ** dim,
         "distributive": by_law["distributive"],
         "orthomodular": by_law["orthomodular"],
@@ -255,7 +243,7 @@ def _cmd_boolean_recover(args) -> int:
         "classical_mismatches": mismatches,
     }
     _emit(payload, args)
-    ok = (len(events) == 2 ** dim and by_law["distributive"]
+    ok = (len(lattice) == 2 ** dim and by_law["distributive"]
           and by_law["orthomodular"] and mismatches == 0)
     return 0 if ok else 1
 

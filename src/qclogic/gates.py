@@ -34,8 +34,8 @@ from .errors import (
     UnknownGate,
     ValidationFailure,
 )
-from .qcore import (MAX_DIM, DensityOperator, Projector, UnitaryGate, born,
-                    check_dim, conjugate, tensor)
+from .qcore import (MAX_DIM, DensityOperator, Projector, UnitaryGate, _evolve,
+                    _pairing, check_dim, tensor)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -147,8 +147,10 @@ class GateSpec:
 
 
 def register_dim(width: int) -> int:
-    """2**width for a register, refused past ``MAX_DIM``; past 64 wires the
-    refusal comes before the power is computed and names it as a power."""
+    """2**width for a register, refused below one wire and past ``MAX_DIM``;
+    past 64 wires the refusal comes before the power is computed."""
+    if width < 1:
+        raise InvalidWire(f"width must be >= 1, got {width}")
     if width > 64:
         raise SizeCapExceeded(f"dimension 2**{width} exceeds cap {MAX_DIM}")
     return check_dim(2 ** width)
@@ -166,11 +168,10 @@ def _apply(spec: GateSpec, m: np.ndarray, width: int) -> np.ndarray:
 def elementary(spec: GateSpec, width: int) -> UnitaryGate:
     """A gate on a register of ``width`` wires: the kernel applied to the
     identity, so the block acts on ``spec.wires`` and nothing else."""
-    if width < 1:
-        raise InvalidWire(f"width must be >= 1, got {width}")
+    dim = register_dim(width)
     if any(w >= width for w in spec.wires):
         raise InvalidWire(f"wires {spec.wires} do not fit in width {width}")
-    return UnitaryGate(_apply(spec, np.eye(register_dim(width), dtype=complex), width))
+    return UnitaryGate(_apply(spec, np.eye(dim, dtype=complex), width))
 
 
 @dataclass(frozen=True)
@@ -339,37 +340,30 @@ def generator_set(label: str, *, phases: Sequence[float] | None = None) -> Gener
     return GeneratorSet(label, members)
 
 
-def _placements(name: str, width: int) -> list[tuple[int, ...]]:
+def _placements(name: str, width: int) -> tuple[int, Iterable[tuple[int, ...]]]:
+    """How many wire tuples a gate can occupy, and the tuples, listed lazily."""
+    wires = range(width)
     if name == "QFT":
-        return [tuple(range(width))]
-    count, _ = _ARITY[name]
-    if count == 1:
-        return [(w,) for w in range(width)]
+        return 1, [tuple(wires)]
     if name == "CNOT":
-        return list(itertools.permutations(range(width), 2))
-    if name == "XX":
-        # exp(-i phi XX/2) is symmetric in its two wires; list each pair once
-        return list(itertools.combinations(range(width), 2))
+        return math.perm(width, 2), itertools.permutations(wires, 2)
     if name == "TOFFOLI":
-        return [(a, b, t)
-                for a, b in itertools.combinations(range(width), 2)
-                for t in range(width) if t not in (a, b)]
-    return list(itertools.combinations(range(width), count))
+        return (math.comb(width, 2) * (width - 2),
+                ((a, b, t) for a, b in itertools.combinations(wires, 2)
+                 for t in wires if t not in (a, b)))
+    # one-wire gates, and XX: exp(-i phi XX/2) is symmetric in its two
+    # wires, so each pair is listed once
+    count = _ARITY[name][0]
+    return math.comb(width, count), itertools.combinations(wires, count)
 
 
-def _alphabet(generators: GeneratorSet, width: int) -> list[GateSpec]:
-    letters: list[GateSpec] = []
-    for template in generators.members:
-        takes_param = template.name != "QFT" and _ARITY[template.name][1]
-        if takes_param and template.phases is None:
-            raise UnboundedParameter(
-                f"{template.name} in {generators.label} has no phase grid")
-        params: Iterable[float | None] = template.phases if takes_param else (None,)
-        for wires in _placements(template.name, width):
-            for p in params:
-                letters.append(GateSpec(template.name, wires, p))
-    letters.sort(key=lambda s: (s.name, s.param if s.param is not None else 0.0, s.wires))
-    return letters
+def _params(template: GateTemplate, label: str) -> Sequence[float | None]:
+    """The phases a template is instantiated with; (None,) if it takes none."""
+    if template.name == "QFT" or not _ARITY[template.name][1]:
+        return (None,)
+    if template.phases is None:
+        raise UnboundedParameter(f"{template.name} in {label} has no phase grid")
+    return template.phases
 
 
 def enumerate_polynomials(
@@ -384,20 +378,25 @@ def enumerate_polynomials(
     The listing is deterministic, in (length, lexicographic) order over a
     sorted alphabet of gate instantiations, and prefix-closed: it starts with
     the empty word.  More than ``max_words`` results raise
-    :class:`EnumerationCapExceeded` before any work is done.
+    :class:`EnumerationCapExceeded` before any letter is built.
     """
     if width < 1:
         raise InvalidWire(f"width must be >= 1, got {width}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    letters = _alphabet(generators, width)
-    a = len(letters)
+    groups = [(t.name, _params(t, generators.label), _placements(t.name, width))
+              for t in generators.members]
+    a = sum(len(params) * count for _, params, (count, _) in groups)
     total = 0
     for k in range(max_len + 1):
         total += a ** k
         if total > max_words:
             raise EnumerationCapExceeded(
                 f"more than {max_words} words over {a} letters up to length {max_len}")
+    letters = sorted((GateSpec(name, wires, p)
+                      for name, params, (_, placements) in groups
+                      for wires in placements for p in params),
+                     key=lambda s: (s.name, s.param if s.param is not None else 0.0, s.wires))
     out = [GateWord(width, ())]
     for k in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=k):
@@ -422,7 +421,6 @@ def toffoli_truth_value(rho: DensityOperator, sigma: DensityOperator) -> float:
     ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
     ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
     gate = elementary(GateSpec("TOFFOLI", (0, 1, 2)), 3)
-    state = DensityOperator(tensor(tensor(rho.matrix, sigma.matrix), ket0),
-                            max(rho.tolerance, sigma.tolerance))
+    state = tensor(tensor(rho.matrix, sigma.matrix), ket0)
     event = Projector(tensor(np.eye(4), ket1))
-    return born(conjugate(gate, state), event)
+    return _pairing(_evolve(gate, state), event, max(rho.tolerance, sigma.tolerance))

@@ -28,8 +28,9 @@ from .qcore import (
     DensityOperator,
     Projector,
     UnitaryGate,
-    born,
-    conjugate,
+    _evolve,
+    _pairing,
+    check_tol,
     entry_key,
     matrix_to_json,
 )
@@ -40,7 +41,7 @@ RELATIONS = ("equiv_rho_P", "equiv_rho", "equiv_P", "equiv_total",
 
 def truth_value(u: UnitaryGate, rho: DensityOperator, p: Projector) -> float:
     """Tr(U rho U* P), the probability that P holds after U runs on rho."""
-    return born(conjugate(u, rho), p)
+    return _pairing(_evolve(u, rho.matrix), p, max(u.tolerance, rho.tolerance))
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,8 @@ class EquivalenceReport:
         return out
 
 
-def _check_dims(*dims: int):
+def _check_context(tol: float, *dims: int):
+    check_tol(tol)
     if len(set(dims)) > 1:
         raise DimensionMismatch(f"dimensions differ: {dims}")
 
@@ -116,7 +118,7 @@ def _rank_one(v: np.ndarray) -> np.ndarray:
 def equiv_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
                 p: Projector, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Do U and V have the same truth value at this one (state, event) pair?"""
-    _check_dims(u.dim, v.dim, rho.dim, p.dim)
+    _check_context(tol, u.dim, v.dim, rho.dim, p.dim)
     lhs = truth_value(u, rho, p)
     rhs = truth_value(v, rho, p)
     return EquivalenceReport("equiv_rho_P", abs(lhs - rhs) <= tol, tol,
@@ -131,9 +133,9 @@ def equiv_rho(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
     evolved states is the same as agreement of Tr(. P) for every event P.
     On failure, the spectral top of the difference gives a separating event.
     """
-    _check_dims(u.dim, v.dim, rho.dim)
-    a = conjugate(u, rho).matrix
-    b = conjugate(v, rho).matrix
+    _check_context(tol, u.dim, v.dim, rho.dim)
+    a = _evolve(u, rho.matrix)
+    b = _evolve(v, rho.matrix)
     gap = float(np.max(np.abs(a - b)))
     if gap <= tol:
         return EquivalenceReport("equiv_rho", True, tol)
@@ -148,7 +150,7 @@ def equiv_P(u: UnitaryGate, v: UnitaryGate, p: Projector,
     Equivalent to U* P U = V* P V; a failing pair is separated by the state
     built from the top eigenvector of the difference.
     """
-    _check_dims(u.dim, v.dim, p.dim)
+    _check_context(tol, u.dim, v.dim, p.dim)
     a = u.matrix.conj().T @ p.matrix @ u.matrix
     b = v.matrix.conj().T @ p.matrix @ v.matrix
     gap = float(np.max(np.abs(a - b)))
@@ -168,7 +170,7 @@ def equiv_total(u: UnitaryGate, v: UnitaryGate,
     matrix equality.  On failure a separating (state, event) pair is
     attached.
     """
-    _check_dims(u.dim, v.dim)
+    _check_context(tol, u.dim, v.dim)
     m = v.matrix.conj().T @ u.matrix
     diag = np.diagonal(m)
     nz = np.flatnonzero(np.abs(diag) > tol)
@@ -226,7 +228,7 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate, m: np.ndarray,
 def leq_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
               p: Projector, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Is U's truth value at (rho, p) at most V's?"""
-    _check_dims(u.dim, v.dim, rho.dim, p.dim)
+    _check_context(tol, u.dim, v.dim, rho.dim, p.dim)
     lhs = truth_value(u, rho, p)
     rhs = truth_value(v, rho, p)
     return EquivalenceReport("leq_rho_P", lhs <= rhs + tol, tol, lhs=lhs, rhs=rhs)
@@ -239,8 +241,8 @@ def leq_rho(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
     Holds exactly when V rho V* - U rho U* is positive semidefinite.  The
     most negative eigenvector supplies a violating event otherwise.
     """
-    _check_dims(u.dim, v.dim, rho.dim)
-    diff = conjugate(v, rho).matrix - conjugate(u, rho).matrix
+    _check_context(tol, u.dim, v.dim, rho.dim)
+    diff = _evolve(v, rho.matrix) - _evolve(u, rho.matrix)
     low = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
     if low >= -tol:
         return EquivalenceReport("leq_rho", True, tol)
@@ -255,7 +257,7 @@ def leq_P(u: UnitaryGate, v: UnitaryGate, p: Projector,
     Holds exactly when V* P V - U* P U is positive semidefinite; failing,
     the most negative eigenvector gives a violating state.
     """
-    _check_dims(u.dim, v.dim, p.dim)
+    _check_context(tol, u.dim, v.dim, p.dim)
     diff = (v.matrix.conj().T @ p.matrix @ v.matrix
             - u.matrix.conj().T @ p.matrix @ u.matrix)
     low = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
@@ -332,6 +334,7 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
     that straddle a rounding boundary merge instead of splitting and values
     that share a key but differ by more than ``tol`` stay apart.
     """
+    check_tol(tol)
     if relation not in ("equiv_rho", "equiv_rho_P"):
         raise ValueError(f"quotient supports equiv_rho and equiv_rho_P, got {relation!r}")
     if relation == "equiv_rho_P" and p is None:
@@ -357,7 +360,7 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
     for w in words:
         u = compose_word(w)
         if relation == "equiv_rho":
-            data = conjugate(u, rho).matrix
+            data = _evolve(u, rho.matrix)
             key = entry_key(data, 9)
         else:
             data = truth_value(u, rho, p)
@@ -390,9 +393,9 @@ def equiv_rho_on_bases(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
     "holds" verdict here is weaker than :func:`equiv_rho` and should be
     treated as a screening result.
     """
-    _check_dims(u.dim, v.dim, rho.dim)
+    _check_context(tol, u.dim, v.dim, rho.dim)
     for basis in bases:
-        _check_dims(u.dim, basis.dim)
+        _check_context(tol, u.dim, basis.dim)
         for k in range(basis.dim):
             p = Projector(_rank_one(basis.matrix[:, k]))
             rep = equiv_rho_P(u, v, rho, p, tol)

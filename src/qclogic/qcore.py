@@ -41,6 +41,12 @@ def check_dim(dim: int, *, max_dim: int = MAX_DIM) -> int:
     return dim
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is negative or NaN."""
+    if not tol >= 0:
+        raise ValidationFailure("tolerance", tol, "must be >= 0")
+
+
 def as_square_matrix(data, *, max_dim: int = MAX_DIM) -> np.ndarray:
     """Coerce to a read-only square complex ndarray, or raise."""
     m = np.array(data, dtype=complex)
@@ -78,8 +84,7 @@ class DensityOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
-        if self.tolerance < 0:
-            raise ValidationFailure("tolerance", self.tolerance, "must be >= 0")
+        check_tol(self.tolerance)
         gap = _hermit_gap(self.matrix)
         if gap > self.tolerance:
             raise ValidationFailure("hermitian", gap)
@@ -104,8 +109,7 @@ class Projector:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
-        if self.tolerance < 0:
-            raise ValidationFailure("tolerance", self.tolerance, "must be >= 0")
+        check_tol(self.tolerance)
         gap = _hermit_gap(self.matrix)
         if gap > self.tolerance:
             raise ValidationFailure("hermitian", gap)
@@ -132,8 +136,7 @@ class UnitaryGate:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
-        if self.tolerance < 0:
-            raise ValidationFailure("tolerance", self.tolerance, "must be >= 0")
+        check_tol(self.tolerance)
         eye = np.eye(self.matrix.shape[0])
         gap = float(np.max(np.abs(self.matrix @ self.matrix.conj().T - eye)))
         gap = max(gap, float(np.max(np.abs(self.matrix.conj().T @ self.matrix - eye))))
@@ -164,12 +167,27 @@ def validate(matrix, kind: str, tolerance: float = DEFAULT_TOL):
     return cls(matrix, tolerance)
 
 
+def _evolve(u: UnitaryGate, rho: np.ndarray) -> np.ndarray:
+    """U rho U* for a valid state's matrix rho, not validated again."""
+    if u.dim != len(rho):
+        raise DimensionMismatch(f"gate dim {u.dim} vs state dim {len(rho)}")
+    return u.matrix @ rho @ u.matrix.conj().T
+
+
+def _pairing(sigma: np.ndarray, p: Projector, tol: float) -> float:
+    """:func:`born` for a state's matrix sigma that is valid at ``tol``."""
+    if len(sigma) != p.dim:
+        raise DimensionMismatch(f"state dim {len(sigma)} vs event dim {p.dim}")
+    t = complex(np.trace(sigma @ p.matrix))
+    tol = max(tol, p.tolerance)
+    if abs(t.imag) > tol:
+        raise NonRealTrace(f"imaginary part {t.imag:.3e} exceeds {tol:.1e}")
+    return min(1.0, max(0.0, t.real))
+
+
 def conjugate(u: UnitaryGate, rho: DensityOperator) -> DensityOperator:
-    """Evolve a state: rho -> U rho U*."""
-    if u.dim != rho.dim:
-        raise DimensionMismatch(f"gate dim {u.dim} vs state dim {rho.dim}")
-    out = u.matrix @ rho.matrix @ u.matrix.conj().T
-    return DensityOperator(out, max(u.tolerance, rho.tolerance))
+    """Evolve a state: rho -> U rho U*, validated as a state."""
+    return DensityOperator(_evolve(u, rho.matrix), max(u.tolerance, rho.tolerance))
 
 
 def born(sigma: DensityOperator, p: Projector) -> float:
@@ -179,13 +197,7 @@ def born(sigma: DensityOperator, p: Projector) -> float:
     a larger imaginary part than the working tolerance raises
     :class:`NonRealTrace`.
     """
-    if sigma.dim != p.dim:
-        raise DimensionMismatch(f"state dim {sigma.dim} vs event dim {p.dim}")
-    t = complex(np.trace(sigma.matrix @ p.matrix))
-    tol = max(sigma.tolerance, p.tolerance)
-    if abs(t.imag) > tol:
-        raise NonRealTrace(f"imaginary part {t.imag:.3e} exceeds {tol:.1e}")
-    return min(1.0, max(0.0, t.real))
+    return _pairing(sigma.matrix, p, sigma.tolerance)
 
 
 # ---------------------------------------------------------------------------

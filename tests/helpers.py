@@ -56,6 +56,11 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
+# I/4 + i (0.9e-9 / 4) J with J the all-ones matrix: a valid state at the
+# default tolerance (Hermitian gap 4.5e-10), which H[0]; H[1] evolves into
+# I/4 + 0.9e-9 i |00><00|, whose entrywise Hermitian gap is 1.8e-9
+SKEWED_UNIFORM = np.eye(4) / 4 + 1j * (0.9e-9 / 4) * np.ones((4, 4))
+
 
 def truth_value_oracle(u: np.ndarray, rho: np.ndarray, p: np.ndarray) -> float:
     """Tr(U rho U* P) by direct numpy, no package code."""

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import helpers
 import qclogic
 from qclogic import qcore
 from qclogic.cli import main
@@ -97,6 +98,37 @@ def test_huge_register_width_is_refused_before_its_dimension(capsys, verb, width
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
     assert err == f"error: dimension 2**{width} exceeds cap 1024\n"
+
+
+def test_quotient_refuses_a_wide_register_before_enumerating(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "quotient", "--generators", "G1", "--width", "20000",
+                             "--max-len", "1", "--state", "basis:0", "--event", "basis:0")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == "error: dimension 2**20000 exceeds cap 1024\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("check-equiv", "H[0]", "H[0]"),
+    ("check-equiv", "H[0]", "H[0]", "--relation", "equiv_rho", "--state", "basis:0"),
+    ("quotient", "--word", "H[0]", "--word", "H[0]", "--state", "basis:0",
+     "--event", "basis:0"),
+])
+def test_unusable_tolerance_is_exit_2(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invariant 'tolerance' violated")
+
+
+def test_truth_table_does_not_revalidate_the_evolved_state(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(qcore.matrix_to_json(helpers.SKEWED_UNIFORM)))
+    code, payload = run_json(capsys, "truth-table", "width=2; H[0]; H[1]",
+                             "--state", str(path))
+    assert code == 0
+    assert payload["values"] == {f"basis:{k}": 0.25 for k in range(4)}
 
 
 def test_check_equiv_widths_unify(capsys):

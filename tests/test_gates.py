@@ -176,6 +176,9 @@ def test_elementary_matches_dense_embedding_exactly():
 
 def test_register_dim_refuses_past_the_cap():
     assert gates.register_dim(1) == 2 and gates.register_dim(10) == 1024
+    for width in (0, -3):
+        with pytest.raises(InvalidWire, match=rf"^width must be >= 1, got {width}$"):
+            gates.register_dim(width)
     with pytest.raises(SizeCapExceeded, match=r"^dimension 2048 exceeds cap 1024$"):
         gates.register_dim(11)
     start = time.perf_counter()
@@ -263,6 +266,24 @@ def test_enumeration_caps_and_unbounded():
     g3 = gates.generator_set("G3")   # no phase grid given
     with pytest.raises(UnboundedParameter):
         gates.enumerate_polynomials(g3, 2, 1)
+
+
+@pytest.mark.parametrize("name", ["H", "T", "X", "Z", "R", "CNOT", "XX", "TOFFOLI", "QFT"])
+def test_placement_counts_equal_the_listings(name):
+    for width in range(1, 7):
+        count, placements = gates._placements(name, width)
+        placements = list(placements)
+        assert count == len(placements) == len(set(placements))
+
+
+def test_enumeration_cap_comes_before_the_alphabet():
+    g2 = gates.generator_set("G2", phases=[0.5])
+    letters = 1500 * 1499 + 1500 + 1500     # CNOT placements, H, R
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        gates.enumerate_polynomials(g2, 1500, 1)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == f"more than 100000 words over {letters} letters up to length 1"
 
 
 def test_g3_with_grid_enumerates_symmetric_pairs():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from qclogic import gates, logic, qcore
-from qclogic.errors import DimensionMismatch
+from qclogic.errors import DimensionMismatch, ValidationFailure
 from qclogic.logic import (
     EquivalenceReport,
     equiv_P,
@@ -194,6 +195,86 @@ def test_dimension_checks():
         equiv_total(EYE, big)
     with pytest.raises(DimensionMismatch):
         equiv_rho_P(EYE, XGATE, ZERO, qcore.Projector(np.eye(4)))
+
+
+DECIDERS = {
+    "equiv_rho_P": (ZERO, P_ZERO), "equiv_rho": (ZERO,), "equiv_P": (P_ZERO,),
+    "equiv_total": (), "leq_rho_P": (ZERO, P_ZERO), "leq_rho": (ZERO,), "leq_P": (P_ZERO,),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_deciders_and_quotient_refuse_a_negative_or_nan_tolerance(tol):
+    words = [gates.parse_word("width=1; H[0]")] * 2
+    calls = [(getattr(logic, rel), (EYE, EYE, *context, tol))
+             for rel, context in DECIDERS.items()]
+    calls += [(quotient, (words, rel, ZERO, P_ZERO, tol))
+              for rel in ("equiv_rho_P", "equiv_rho")]
+    for fn, args in calls:
+        with pytest.raises(ValidationFailure) as exc:
+            fn(*args)
+        assert exc.value.invariant == "tolerance"
+
+
+def test_evolved_states_are_not_revalidated():
+    # U rho U* is a state up to rounding, but its entrywise Hermitian gap
+    # (1.8e-9 here) is not unitarily invariant; qcore.conjugate still refuses
+    # it, the truth value and the deciders take it as it is
+    rho = qcore.DensityOperator(helpers.SKEWED_UNIFORM)
+    word = gates.parse_word("width=2; H[0]; H[1]")
+    hh, eye = gates.compose_word(word), gates.compose_word(gates.parse_word("width=2"))
+    p = qcore.Projector(helpers.basis_state(4, 0))
+    assert truth_value(hh, rho, p) == pytest.approx(0.25, abs=1e-12)
+    assert equiv_rho_P(hh, eye, rho, p).lhs == pytest.approx(0.25, abs=1e-12)
+    assert equiv_rho(hh, eye, rho).holds and leq_rho(hh, eye, rho).holds
+    for relation in ("equiv_rho_P", "equiv_rho"):
+        assert quotient([word], relation, rho, p).classes == ((word,),)
+
+
+def _report_fields(rep):
+    matrix = lambda op: None if op is None else op.matrix.tobytes()
+    return (rep.relation, rep.holds, rep.tolerance, rep.lhs, rep.rhs,
+            matrix(rep.witness_state), matrix(rep.witness_event))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["random", "phase", "same"]), st.sampled_from([1e-9, 1e-3, 0.3]))
+def test_deciders_equal_the_validated_evolution_bit_for_bit(seed, width, pair, tol):
+    gen = helpers.rng(seed)
+    dim = 2 ** width
+    u = qcore.UnitaryGate(helpers.random_unitary(gen, dim))
+    v = {"random": qcore.UnitaryGate(helpers.random_unitary(gen, dim)),
+         "phase": qcore.UnitaryGate(np.exp(0.4j) * u.matrix), "same": u}[pair]
+    rho = qcore.DensityOperator(helpers.random_pure(gen, dim) if seed % 2
+                                else helpers.random_density(gen, dim))
+    p = qcore.Projector(helpers.random_projector(gen, dim))
+    assert truth_value(u, rho, p) == qcore.born(qcore.conjugate(u, rho), p)
+    calls = ((equiv_rho, u, v), (leq_rho, u, v), (leq_rho, v, u))
+    got = [_report_fields(fn(a, b, rho, tol)) for fn, a, b in calls]
+    # the same deciders with every evolved state built by qcore.conjugate
+    validated = lambda g, m: qcore.conjugate(g, qcore.DensityOperator(m)).matrix
+    with mock.patch.object(logic, "_evolve", validated):
+        assert [_report_fields(fn(a, b, rho, tol)) for fn, a, b in calls] == got
+
+
+def test_truth_values_deciders_and_quotient_build_no_density_operator(monkeypatch):
+    built = []
+    check = qcore.DensityOperator.__post_init__
+    monkeypatch.setattr(qcore.DensityOperator, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    words = gates.enumerate_polynomials(gates.generator_set("G1"), 1, 2)
+    us = [gates.compose_word(w) for w in words]
+    for u in us:
+        truth_value(u, ZERO, P_PLUS)
+        for v in (us[0], us[-1]):
+            equiv_rho(u, v, PLUS)
+            leq_rho(u, v, PLUS)
+    for relation in ("equiv_rho_P", "equiv_rho"):
+        quotient(words, relation, PLUS, P_ZERO)
+    assert built == []
+    qcore.conjugate(HGATE, ZERO)
+    assert len(built) == 1
 
 
 def test_report_validation_and_json():

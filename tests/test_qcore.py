@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from qclogic import logic, qcore
+from qclogic import gates, logic, qcore
 from qclogic.errors import (
     DimensionMismatch,
     NonRealTrace,
@@ -73,6 +73,14 @@ def test_unitary_validation():
     assert exc.value.invariant == "unitary"
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("kind", [qcore.DensityOperator, qcore.Projector, qcore.UnitaryGate])
+def test_operators_refuse_a_negative_or_nan_tolerance(kind, tol):
+    with pytest.raises(ValidationFailure) as exc:
+        kind(np.eye(1), tol)
+    assert exc.value.invariant == "tolerance"
+
+
 def test_validate_dispatch():
     out = qcore.validate(np.eye(2) / 2, "density")
     assert isinstance(out, qcore.DensityOperator)
@@ -100,6 +108,17 @@ def test_conjugate_hadamard_on_ground():
     assert np.max(np.abs(out.matrix - helpers.KET_PLUS)) < 1e-12
     with pytest.raises(DimensionMismatch):
         qcore.conjugate(h, qcore.DensityOperator(np.eye(4) / 4))
+
+
+def test_conjugate_validates_what_it_returns():
+    # the evolved state's entrywise Hermitian gap exceeds the tolerance
+    # although the input is valid; see tests/test_logic.py for the callers
+    # that do not revalidate it
+    hh = gates.compose_word(gates.parse_word("width=2; H[0]; H[1]"))
+    with pytest.raises(ValidationFailure) as exc:
+        qcore.conjugate(hh, qcore.DensityOperator(helpers.SKEWED_UNIFORM))
+    assert exc.value.invariant == "hermitian"
+    assert exc.value.magnitude == pytest.approx(1.8e-9)
 
 
 def test_born_examples():
