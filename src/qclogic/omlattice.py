@@ -3,10 +3,12 @@
 A lattice is stored extensionally: labels, the full order relation, meet and
 join tables, and the orthocomplement map.  Construction checks the required
 laws (order axioms, glb/lub consistency, orthocomplement laws, the
-orthomodular law) in order and raises at the first that fails.  Lattice
-commutativity, associativity, absorption and order-consistency are theorems
-of the first six, so they are not computed.  Distributivity is computed but
-only reported, since quantum event lattices fail it.  On top of the lattice
+orthomodular law) in order and raises at the first that fails; glb and lub
+are checked on bitsets of down-sets and up-sets.  Lattice commutativity,
+associativity, absorption and order-consistency are theorems of the first
+six, so they are not computed.  Distributivity is only reported, since
+quantum event lattices fail it, and is decided by pairwise compatibility,
+which is equivalent in an orthomodular lattice.  On top of the lattice
 sit finitely additive states, automorphisms (the abstract gates),
 pushforwards, generalized equivalence of automorphism words, a superposition
 test, and a protocol runner.  Two concrete constructions are provided: the
@@ -31,11 +33,20 @@ from .errors import (
     ToleranceCollision,
     ValidationFailure,
 )
-from .qcore import DensityOperator, Projector, UnitaryGate, born, entry_key, null_space
+from .qcore import (
+    DensityOperator,
+    Projector,
+    UnitaryGate,
+    born,
+    check_tol,
+    entry_key,
+    null_space,
+)
 
 DEFAULT_MAX_ELEMENTS = 512
 
-# hard ceiling for direct construction; the law battery is cubic in n
+# hard ceiling for direct construction: every table is n x n, and the
+# transitivity check is an n^3 matrix product
 MAX_LATTICE = 1024
 
 
@@ -67,9 +78,11 @@ def _first_pair(mask: np.ndarray) -> tuple[int, ...] | None:
     return (int(a), int(b))
 
 
-def _first_triple(n: int, slab_for: Callable[[int], np.ndarray]) -> tuple[int, ...] | None:
-    """The first (a, b, c) flagged, scanning one (b, c) slab per a."""
-    for a in range(n):
+def _first_triple(n: int, slab_for: Callable[[int], np.ndarray],
+                  start: int) -> tuple[int, ...] | None:
+    """The first (a, b, c) flagged, scanning one (b, c) slab per a from
+    ``start``; the callers know that no earlier slab flags anything."""
+    for a in range(start, n):
         slab = slab_for(a)
         if slab.any():
             b, c = np.unravel_index(int(np.argmax(slab)), slab.shape)
@@ -108,7 +121,9 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
     bounds_bad = ~leq[zero, :] | ~leq[:, one]
     check("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
 
-    # meet/join against the order, one (b, c) slab per a
+    # meet/join against the order: decided on bitsets, and only a failing
+    # table is rescanned, one dense (b, c) slab per a from its first bad row,
+    # for the first witness
     leq_t = np.ascontiguousarray(leq.T)                  # [b, c] = leq[c, b]
 
     def meet_glb_slab(a: int) -> np.ndarray:
@@ -125,8 +140,12 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
         bad_least = leq[a, :] & leq & ~leq[j, :]
         return bad_upper[:, None] | bad_least
 
-    check("meet-is-glb", _first_triple(n, meet_glb_slab))
-    check("join-is-lub", _first_triple(n, join_lub_slab))
+    for law, rel, table, sets, slab in (
+            ("meet-is-glb", leq, meet, _packed(leq_t), meet_glb_slab),
+            ("join-is-lub", leq_t, join, _packed(leq), join_lub_slab)):
+        start = _first_bad_row(rel, table, sets)
+        if start is not None:
+            check(law, _first_triple(n, slab, start))
 
     invol = ortho[ortho] != idx
     check("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
@@ -140,15 +159,49 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
     check("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
 
 
-def _distributive_report(labels, meet, join) -> LawReport:
-    """Distributivity, one (b, c) slab per a.
+def _first_bad_row(rel: np.ndarray, table: np.ndarray, sets: np.ndarray) -> int | None:
+    """The first a at which some table[a, b] is not the extreme common bound
+    of a and b, or None.
 
-    The gathers write into buffers reused for every a.  Fresh n x n
-    temporaries page-fault whenever the allocator maps them anew, which
-    tripled the gather time at n = 512.  mode="clip" lets take write
-    straight into them; it never clips, since the tables are in range.
+    With ``rel`` the order and ``sets`` the packed down-sets (row c: the
+    set below c) this checks meet-is-glb; with the transposed order and the
+    up-sets, join-is-lub.  t = table[a, b] is extreme when it is a common
+    bound, rel[t, a] and rel[t, b], and the common set sets[a] & sets[b]
+    lies in sets[t] (Davey & Priestley, *Introduction to Lattices and
+    Order*, 2002, ch. 2): n^2 gathers and n^2 * ceil(n / 64) word
+    operations, one n x n word slab per word.
+    """
+    n = len(table)
+    idx = np.arange(n)
+    bad = ~(rel[table, idx[:, None]] & rel[table, idx[None, :]])
+    outside = np.empty((n, n), dtype=np.uint64)
+    for col in sets.T:                                   # one word of every set
+        np.take(~col, table, out=outside, mode="clip")   # [a, b]: outside table[a, b]
+        outside &= col[:, None]
+        outside &= col[None, :]
+        bad |= outside != 0
+    rows = bad.any(axis=1)
+    return int(np.argmax(rows)) if rows.any() else None
+
+
+def _distributive_report(labels, meet, join, ortho) -> LawReport:
+    """Distributivity of an orthomodular lattice.
+
+    Such a lattice is distributive exactly when every pair is compatible,
+    (a ^ b) v (a ^ b') = a, and a triple is distributive as soon as one of
+    its elements is compatible with the other two (Foulis-Holland; Kalmbach,
+    *Orthomodular Lattices*, 1983).  So one n x n gather decides the law.
+    Only when some pair is not compatible is the first counterexample
+    searched for, one (b, c) slab per a from the first a that is not
+    compatible with everything.  The slab gathers write into buffers reused
+    for every a, since fresh n x n temporaries page-fault whenever the
+    allocator maps them anew; mode="clip" lets take write straight into
+    them, and never clips, since the tables are in range.
     """
     n = len(labels)
+    incompatible = (join[meet, meet[:, ortho]] != np.arange(n)[:, None]).any(axis=1)
+    if not incompatible.any():
+        return LawReport("distributive", True)
     lhs, rows, rhs = np.empty((3, n, n), dtype=np.intp)
     differ = np.empty((n, n), dtype=bool)
 
@@ -157,7 +210,8 @@ def _distributive_report(labels, meet, join) -> LawReport:
         ma.take(join, out=lhs, mode="clip")                              # a ^ (b v c)
         join.take(ma, axis=0, out=rows, mode="clip").take(ma, axis=1, out=rhs, mode="clip")
         return np.not_equal(lhs, rhs, out=differ)                        # vs (a^b) v (a^c)
-    return _report(labels, "distributive", _first_triple(n, slab))
+    return _report(labels, "distributive",
+                   _first_triple(n, slab, int(np.argmax(incompatible))))
 
 
 REQUIRED_LAWS = (
@@ -240,7 +294,8 @@ def verify_laws(lattice: FiniteOML, *, include_informational: bool = True) -> li
     is false."""
     reports = [LawReport(law, True) for law in REQUIRED_LAWS]
     if include_informational:
-        reports.append(_distributive_report(lattice.labels, lattice.meet, lattice.join))
+        reports.append(_distributive_report(lattice.labels, lattice.meet, lattice.join,
+                                            lattice.ortho))
     return reports
 
 
@@ -313,28 +368,19 @@ def from_order(labels: Sequence[str], leq, ortho, zero: int, one: int,
         raise ValidationFailure("table-shape", 0.0, f"leq is {leq.shape}")
     down = _packed(leq.T)                                 # row c: the set below c
     up = _packed(leq)                                     # row c: the set above c
-    meet = np.zeros((n, n), dtype=np.intp)
-    join = np.zeros((n, n), dtype=np.intp)
-    for a in range(n):
-        below = np.flatnonzero(leq[:, a])
-        is_glb = _extreme_bounds(a, below, leq[below, :], down)
-        counts = is_glb.sum(axis=0)
-        if (counts != 1).any():
-            b = int(np.argmax(counts != 1))
-            raise ValidationFailure(
-                "meet-exists", float(counts[b]),
-                f"pair ({labels[a]}, {labels[b]}) has {counts[b]} greatest lower bounds")
-        meet[a] = below[np.argmax(is_glb, axis=0)]
-
-        above = np.flatnonzero(leq[a, :])
-        is_lub = _extreme_bounds(a, above, leq[:, above].T, up)
-        counts = is_lub.sum(axis=0)
-        if (counts != 1).any():
-            b = int(np.argmax(counts != 1))
-            raise ValidationFailure(
-                "join-exists", float(counts[b]),
-                f"pair ({labels[a]}, {labels[b]}) has {counts[b]} least upper bounds")
-        join[a] = above[np.argmax(is_lub, axis=0)]
+    idx = np.arange(n)
+    # the lookup is exact on a reflexive, antisymmetric relation
+    if leq[idx, idx].all() and not (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        meet, join = _lookup_bounds(down), _lookup_bounds(up)
+    else:
+        meet, join = np.full((2, n, n), -1, dtype=np.intp)
+    # rows with a pair the lookup missed are derived from the definition, in
+    # row order, meet before join, so the first pair without a bound is named
+    for a in np.flatnonzero((meet < 0).any(axis=1) | (join < 0).any(axis=1)):
+        if (meet[a] < 0).any():
+            meet[a] = _bounds_by_definition(labels, "meet", a, leq, down)
+        if (join[a] < 0).any():
+            join[a] = _bounds_by_definition(labels, "join", a, leq.T, up)
     return FiniteOML(labels, leq, meet, join, np.asarray(ortho, dtype=np.intp),
                      zero, one)
 
@@ -345,6 +391,49 @@ def _packed(rows: np.ndarray) -> np.ndarray:
     bits = np.zeros((n_rows, -(-n // 64) * 64), dtype=bool)
     bits[:, :n] = rows
     return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def _lookup_bounds(sets: np.ndarray) -> np.ndarray:
+    """[a, b]: the element whose set is sets[a] & sets[b], or -1 if none.
+
+    The sets are the packed down-sets (for meets) or up-sets (for joins) of
+    a reflexive, antisymmetric relation.  There each set holds its own
+    element, so distinct elements have distinct sets, and an element c
+    whose set is the common set of a and b is their extreme common bound by
+    the definition: c lies in the common set, the common set lies in c's
+    set, and any other such element would bound c both ways.  In a partial
+    order the converse holds too, so only a relation that is not transitive
+    or a pair without a bound misses.  Each row is looked up among the
+    sorted sets, compared as byte strings, with one searchsorted.
+    """
+    n = len(sets)
+    keys = sets.view(np.dtype((np.void, sets.itemsize * sets.shape[1]))).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    table = np.empty((n, n), dtype=np.intp)
+    for a in range(n):
+        common = (sets[a] & sets).view(keys.dtype).ravel()
+        at = np.searchsorted(sorted_keys, common).clip(max=n - 1)
+        table[a] = np.where(sorted_keys[at] == common, order[at], -1)
+    return table
+
+
+def _bounds_by_definition(labels, kind: str, a: int, rel: np.ndarray,
+                          sets: np.ndarray) -> np.ndarray:
+    """Row a of the meet (``rel`` the relation, ``sets`` its packed
+    down-sets) or join table (the transposed relation and the up-sets),
+    from the definition of the extreme common bound, which assumes nothing
+    of the relation; a pair without exactly one raises ``<kind>-exists``."""
+    cand = np.flatnonzero(rel[:, a])
+    is_extreme = _extreme_bounds(a, cand, rel[cand, :], sets)
+    counts = is_extreme.sum(axis=0)
+    if (counts != 1).any():
+        b = int(np.argmax(counts != 1))
+        bound = "greatest lower" if kind == "meet" else "least upper"
+        raise ValidationFailure(
+            f"{kind}-exists", float(counts[b]),
+            f"pair ({labels[a]}, {labels[b]}) has {counts[b]} {bound} bounds")
+    return cand[np.argmax(is_extreme, axis=0)]
 
 
 def _extreme_bounds(a: int, cand: np.ndarray, bounds: np.ndarray,
@@ -420,6 +509,7 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
     both the abstract tables and the projector matrices, in a canonical
     entrywise order.
     """
+    check_tol(tol)
     # the elements found so far are stack[:count]; the buffer doubles when full
     stack = np.zeros((8, dim, dim), dtype=complex)
     stack[1] = np.eye(dim)
@@ -521,12 +611,12 @@ class LatticeState:
     zero_atol: float = 0.0
 
     def __post_init__(self):
+        check_tol(self.tolerance)
+        check_tol(self.zero_atol)
         v = np.array(self.values, dtype=float)
         n = len(self.lattice)
         if v.shape != (n,):
             raise ValidationFailure("state-shape", 0.0, f"{v.shape} vs ({n},)")
-        if self.tolerance < 0 or self.zero_atol < 0:
-            raise ValidationFailure("tolerance", 0.0, "thresholds must be >= 0")
         if (v < -self.tolerance).any() or (v > 1 + self.tolerance).any():
             worst = float(np.max(np.abs(v - 0.5)) - 0.5)
             raise ValidationFailure("state-range", worst)
@@ -664,6 +754,7 @@ def unitary_automorphism(u: UnitaryGate, lattice: ProjectionLattice, *,
     Raises :class:`NotClosedUnderConjugation` naming the first element whose
     conjugate is not in the lattice.
     """
+    check_tol(tol)
     if not isinstance(lattice, ProjectionLattice):
         raise LatticeMismatch("unitary_automorphism needs a ProjectionLattice")
     if u.dim != lattice.dim:
@@ -725,6 +816,7 @@ class GeneralizedReport:
 
 
 def _generalized(relation: str, u, v, nu, element, tol) -> GeneralizedReport:
+    check_tol(tol)
     fu = _as_composite(u)
     fv = _as_composite(v)
     lat = fu.lattice

@@ -271,6 +271,7 @@ def commutant(matrices: Iterable, dim: int, *, tol: float = DEFAULT_TOL) -> Oper
     null space of the stacked coefficient blocks.  An empty family commutes
     with everything, giving the full matrix algebra.
     """
+    check_tol(tol)
     mats = [as_square_matrix(m) for m in matrices]
     for m in mats:
         if m.shape[0] != dim:
@@ -331,6 +332,7 @@ def boolean_projections(
     all 2**k of their sums (including 0 and the identity) in a deterministic
     entrywise order.
     """
+    check_tol(tol)
     if not family:
         raise NotOrthonormalFamily("empty family")
     dim = family[0].dim

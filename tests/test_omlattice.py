@@ -366,6 +366,170 @@ def test_seeded_corruptions_name_the_failing_law():
         assert str(err.value).endswith(f"(witness {witness})")
 
 
+def mo_tables(k: int):
+    """The tables of MO_k: k pairs of complementary atoms under common
+    bounds, 2k + 2 elements.  MO_1 is the four-element Boolean lattice."""
+    n = 2 * k + 2
+    idx = np.arange(n)
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, -1] = True
+    meet = np.where(leq, idx[:, None], np.where(leq.T, idx[None, :], 0))
+    join = np.where(leq, idx[None, :], np.where(leq.T, idx[:, None], n - 1))
+    ortho = np.array([n - 1] + [i + 1 if i % 2 else i - 1 for i in range(1, n - 1)] + [0])
+    labels = ("0",) + tuple(f"a{i // 2}" + "'" * (i % 2) for i in range(2 * k)) + ("1",)
+    return labels, leq, meet, join, ortho, 0, n - 1
+
+
+def product_tables(x, y):
+    """The product of two lattices given by tables, ordered componentwise."""
+    ny = len(y[0])
+    i, j = np.divmod(np.arange(len(x[0]) * ny), ny)
+    labels = tuple(f"({x[0][a]},{y[0][b]})" for a, b in zip(i, j))
+    leq = x[1][np.ix_(i, i)] & y[1][np.ix_(j, j)]
+    meet, join = (x[k][np.ix_(i, i)] * ny + y[k][np.ix_(j, j)] for k in (2, 3))
+    return (labels, leq, meet, join, x[4][i] * ny + y[4][j],
+            x[5] * ny + y[5], x[6] * ny + y[6])
+
+
+def lattice_tables(lat):
+    return (lat.labels, np.array(lat.leq), np.array(lat.meet), np.array(lat.join),
+            np.array(lat.ortho), lat.zero, lat.one)
+
+
+@st.composite
+def larger_lattices(draw):
+    """Orthomodular lattices of up to 16 elements, relabelled: boolean_oml(2),
+    MO_k for k <= 7 and B_1 x MO_2, where B_1 has two elements."""
+    name = draw(st.sampled_from(["boolean2", "mo", "b1xmo2"]))
+    if name == "boolean2":
+        tables = lattice_tables(boolean_oml(2))
+    elif name == "mo":
+        tables = mo_tables(draw(st.integers(1, 7)))
+    else:
+        tables = product_tables(lattice_tables(boolean_oml(0)), mo_tables(2))
+    labels, leq, meet, join, ortho, zero, one = tables
+    perm = np.array(draw(st.permutations(range(len(labels)))))   # old index -> new
+    back = np.argsort(perm)
+    return (tuple(labels[i] for i in back), leq[np.ix_(back, back)],
+            perm[meet[np.ix_(back, back)]], perm[join[np.ix_(back, back)]],
+            perm[ortho[back]], int(perm[zero]), int(perm[one]))
+
+
+@st.composite
+def larger_tables(draw):
+    """A larger lattice, valid or with one to three entries of one table
+    changed."""
+    tables = list(draw(larger_lattices()))
+    n = len(tables[0])
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, 2, 3, 4]))
+        for _ in range(draw(st.integers(1, 3))):
+            at = tuple(draw(st.integers(0, size - 1)) for size in tables[k].shape)
+            tables[k][at] = (not tables[k][at]) if k == 1 else draw(st.integers(0, n - 1))
+    return tuple(tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(larger_tables())
+def test_construction_and_distributivity_agree_with_the_battery_up_to_16_elements(tables):
+    assert construction_outcome(*tables) == battery_outcome(*tables)
+
+
+@st.composite
+def larger_relations(draw):
+    """The order of a larger lattice as it is, closed again after one to
+    three pairs are added (a preorder, often with equal down-sets), or with
+    one to three entries flipped and not closed (often not transitive)."""
+    labels, leq, _, _, ortho, zero, one = draw(larger_lattices())
+    shape = draw(st.sampled_from(["order", "preorder", "flipped"]))
+    n = len(labels)
+    if shape != "order":
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            leq[a, b] = shape == "preorder" or not leq[a, b]
+    if shape == "preorder":
+        for k in range(n):
+            leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+    return labels, leq, ortho, zero, one
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_relations())
+def test_from_order_matches_definition_up_to_16_elements(args):
+    got = outcome(lambda: from_order(*args))
+    want = outcome(lambda: brute_from_order(*args))
+    if want[0] in ("meet-exists", "join-exists"):
+        assert got[0] == want[0] and got[1].startswith(want[1])
+    else:
+        assert got == want
+
+
+def shuffled_boolean_payload(seed: int, atoms: int) -> dict:
+    """Lattice JSON for the subsets of ``atoms`` atoms, elements shuffled and
+    ``leq`` given as covering pairs only, as the benchmark's lattices
+    workload builds it."""
+    full = 2 ** atoms - 1
+    label = lambda m: "{" + ",".join(f"a{k}" for k in range(atoms) if m >> k & 1) + "}"
+    order = np.random.default_rng(seed).permutation(full + 1).tolist()
+    return {"elements": [label(m) for m in order],
+            "leq": {label(m): [label(m | 1 << k) for k in range(atoms) if not m >> k & 1]
+                    for m in order},
+            "ortho": {label(m): label(full ^ m) for m in order},
+            "zero": label(0), "one": label(full)}
+
+
+def boolean_tables(atoms: int):
+    masks = np.arange(2 ** atoms)
+    return (tuple(str(m) for m in masks), (masks[:, None] & ~masks[None, :]) == 0,
+            masks[:, None] & masks[None, :], masks[:, None] | masks[None, :],
+            masks ^ masks[-1], 0, len(masks) - 1)
+
+
+def test_fallback_scans_run_only_where_a_fast_check_fails(monkeypatch):
+    # _first_triple is the dense glb/lub rescan during construction and the
+    # distributivity slab scan in verify_laws; _bounds_by_definition is
+    # from_order's definition scan
+    entered = {}
+    for name in ("_first_triple", "_bounds_by_definition"):
+        def counted(*args, _name=name, _real=getattr(omlattice, name)):
+            entered[_name] = entered.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(omlattice, name, counted)
+
+    def entries(step):
+        entered.clear()
+        return step(), dict(entered)
+
+    labels, leq, meet, join, ortho, zero, one = boolean_tables(10)
+    for build in (lambda: boolean_oml(3),
+                  lambda: lattice_from_json(shuffled_boolean_payload(5, 8)),
+                  lambda: FiniteOML(labels, leq, meet, join, ortho, zero, one),
+                  lambda: from_order(labels, leq, ortho, zero, one, max_elements=1024)):
+        lat, seen = entries(build)
+        assert seen == {}
+        assert entries(lambda: verify_laws(lat))[1] == {}
+
+    lat, seen = entries(mo2_oml)
+    assert seen == {}
+    assert entries(lambda: verify_laws(lat))[1] == {"_first_triple": 1}
+
+    labels, leq, meet, join, ortho, zero, one = lattice_tables(boolean_oml(2))
+    meet[3, 5] = 5                               # {00,01} ^ {00,10} claimed to be {00,10}
+    entered.clear()
+    with pytest.raises(ValidationFailure, match="meet-is-glb"):
+        FiniteOML(labels, leq, meet, join, ortho, zero, one)
+    assert entered == {"_first_triple": 1}
+
+    # two atoms under two co-atoms: the atoms have no join
+    leq = np.eye(6, dtype=bool)
+    leq[0, :] = leq[:, 5] = True
+    leq[1:3, 3:5] = True
+    entered.clear()
+    with pytest.raises(ValidationFailure, match="join-exists"):
+        from_order(tuple("0xypq1"), leq, [5, 0, 0, 0, 0, 0], 0, 5)
+    assert entered == {"_bounds_by_definition": 1}
+
+
 def test_finite_oml_rejects_corrupted_tables():
     good = boolean_oml(1)
     meet = np.array(good.meet)
@@ -461,6 +625,14 @@ def test_projection_oml_caps_and_collisions():
         projection_oml(4, [qcore.Projector(P0)])
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_projection_oml_refuses_a_negative_or_nan_tolerance(tol):
+    # at the parent, both raised ClosureCapExceeded: no candidate matched
+    with pytest.raises(ValidationFailure) as err:
+        projection_oml(2, [qcore.Projector(P0)], tol=tol)
+    assert err.value.invariant == "tolerance"
+
+
 def test_projection_oml_is_deterministic():
     a = quantum_mo2()
     b = quantum_mo2()
@@ -487,6 +659,14 @@ def test_lattice_state_validation():
         LatticeState(lat, [0.0, -0.5, 1.5, 1.0])
     with pytest.raises(ValidationFailure):
         LatticeState(lat, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("field", ["tolerance", "zero_atol"])
+def test_lattice_state_refuses_a_negative_or_nan_threshold(field, tol):
+    with pytest.raises(ValidationFailure) as err:
+        LatticeState(boolean_oml(1), [0.0, 0.5, 0.5, 1.0], **{field: tol})
+    assert err.value.invariant == "tolerance"
 
 
 def test_point_mass_on_boolean_is_membership():
@@ -592,6 +772,13 @@ def test_unitary_automorphism_requires_closure():
         unitary_automorphism(qcore.UnitaryGate(np.eye(2)), mo2_oml())
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_unitary_automorphism_refuses_a_negative_or_nan_tolerance(tol):
+    with pytest.raises(ValidationFailure) as err:
+        unitary_automorphism(qcore.UnitaryGate(helpers.PAULI_X), quantum_mo2(), tol=tol)
+    assert err.value.invariant == "tolerance"
+
+
 def test_pushforward_requires_same_lattice():
     lat = boolean_oml(1)
     other = boolean_oml(1)
@@ -641,6 +828,17 @@ def test_generalized_relation_errors():
         generalized_equiv(ident, ident, [])
     with pytest.raises(IndexOutOfRange):
         generalized_equiv(ident, ident, nu, element="nope")
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("relation", [generalized_equiv, generalized_leq])
+def test_generalized_relations_refuse_a_negative_or_nan_tolerance(relation, tol):
+    # at the parent, tol=-1 reported a word as not equivalent to itself
+    lat = boolean_oml(1)
+    ident = identity_automorphism(lat)
+    with pytest.raises(ValidationFailure) as err:
+        relation(ident, ident, point_mass_state(lat, 1), tol=tol)
+    assert err.value.invariant == "tolerance"
 
 
 def test_superposition_on_boolean_point_masses():

@@ -216,6 +216,14 @@ def test_double_commutant_contains_generators():
     assert alg.contains(np.eye(4))
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("build", [qcore.commutant, qcore.double_commutant])
+def test_commutants_refuse_a_negative_or_nan_tolerance(build, tol):
+    with pytest.raises(ValidationFailure) as exc:
+        build([helpers.PAULI_Z], 2, tol=tol)
+    assert exc.value.invariant == "tolerance"
+
+
 def test_commutant_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         qcore.commutant([np.eye(3)], 2)
@@ -283,6 +291,16 @@ def test_boolean_projections_rejects_bad_family():
     with pytest.raises(NotOrthonormalFamily):
         qcore.boolean_projections([qcore.Projector(np.eye(2)),
                                    qcore.Projector(np.zeros((2, 2)))])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_boolean_projections_refuse_a_negative_or_nan_tolerance(tol):
+    # at the parent, -1 called a rank-one member "not rank one" and NaN
+    # passed every family check
+    fam = [qcore.Projector(helpers.basis_state(2, k)) for k in range(2)]
+    with pytest.raises(ValidationFailure) as exc:
+        qcore.boolean_projections(fam, tol=tol)
+    assert exc.value.invariant == "tolerance"
 
 
 def test_nonreal_trace_guard():
