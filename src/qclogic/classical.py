@@ -4,6 +4,8 @@ Circuits are expression trees over OR, AND, NOT and input taps; probabilistic
 machines are row-stochastic tables mapping each input word to a distribution
 over output words.  The induced measure of an output event is shown to behave
 like ordinary probability, and ``check_kolmogorov`` probes that numerically.
+The reversible gates X, CNOT and TOFFOLI act on register basis indices by bit
+rules in ``apply_reversible``, a route independent of the gate matrices.
 """
 
 from __future__ import annotations
@@ -42,6 +44,21 @@ def eval_gate(name: str, args: Sequence[int]) -> int:
     if key not in table:
         raise ArityMismatch(f"gate {name!r} takes {len(next(iter(table)))} arguments")
     return table[key]
+
+
+# X, CNOT and TOFFOLI are NOT gates with 0, 1 and 2 controls: name -> wire count
+_CONTROLLED_NOTS = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
+
+
+def apply_reversible(name: str, wires: Sequence[int], index: int, width: int) -> int:
+    """The basis index that X, CNOT or TOFFOLI on ``wires`` sends ``index``
+    to, in a register of ``width`` bits whose wire 0 is the high bit: the
+    last wire flips when every earlier one is set."""
+    if _CONTROLLED_NOTS.get(name) != len(wires):
+        raise ValidationFailure("classical-gate", 0.0,
+                                f"{name} on {len(wires)} wires is not classical")
+    masks = [1 << (width - 1 - w) for w in wires]
+    return index ^ masks[-1] if all(index & m for m in masks[:-1]) else index
 
 
 @dataclass(frozen=True)
@@ -381,5 +398,5 @@ def machine_from_json(obj: dict) -> StochasticOutput:
     """Inverse of :func:`machine_to_json`; constructor revalidates."""
     try:
         return StochasticOutput(int(obj["M"]), int(obj["N"]), dict(obj["rows"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad stochastic table payload: {exc}")

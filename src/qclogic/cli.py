@@ -227,7 +227,7 @@ def _cmd_boolean_recover(args) -> int:
         for start in range(dim):
             out = start
             for s in specs:
-                out = _classical_apply(s, out, bits)
+                out = classical.apply_reversible(s.name, s.wires, out, bits)
             for k in range(dim):
                 tv = logic.truth_value(u, states[start], basis[k])
                 cases += 1
@@ -246,20 +246,6 @@ def _cmd_boolean_recover(args) -> int:
     ok = (len(lattice) == 2 ** dim and by_law["distributive"]
           and by_law["orthomodular"] and mismatches == 0)
     return 0 if ok else 1
-
-
-def _classical_apply(spec: gates.GateSpec, index: int, width: int) -> int:
-    """Reversible classical semantics of X/CNOT/TOFFOLI on a basis index."""
-    bit = lambda w: (index >> (width - 1 - w)) & 1
-    flip = lambda w: index ^ (1 << (width - 1 - w))
-    if spec.name == "X":
-        return flip(spec.wires[0])
-    if spec.name == "CNOT":
-        return flip(spec.wires[1]) if bit(spec.wires[0]) else index
-    if spec.name == "TOFFOLI":
-        c1, c2, t = spec.wires
-        return flip(t) if bit(c1) and bit(c2) else index
-    raise ValidationFailure("classical-gate", 0.0, f"{spec.name} is not classical")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,8 @@ sit finitely additive states, automorphisms (the abstract gates),
 pushforwards, generalized equivalence of automorphism words, a superposition
 test, and a protocol runner.  Two concrete constructions are provided: the
 Boolean lattice of subsets and the lattice generated by closing a family of
-projectors under meet, join, and complement.
+projectors under meet and complement, whose joins (by De Morgan) and order
+(a <= b exactly when a ^ b = a) are read off the meet table.
 """
 
 from __future__ import annotations
@@ -480,34 +481,21 @@ class ProjectionLattice(FiniteOML):
         return Projector(self.matrices[index])
 
 
-def _proj_meet(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """Projector onto range(p) intersect range(q), via the joint null space
-    of (I - p) and (I - q); a direction that both move by at most ``tol``
-    lies in both ranges."""
-    d = p.shape[0]
-    basis = null_space(np.vstack([np.eye(d) - p, np.eye(d) - q]), atol=tol)
-    return basis @ basis.conj().T
-
-
-def _proj_join(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """Projector onto range(p) + range(q): the complement of the meet of
-    the complements."""
-    eye = np.eye(p.shape[0])
-    return eye - _proj_meet(eye - p, eye - q, tol)
-
-
 def projection_oml(dim: int, projectors: Sequence[Projector], *,
                    tol: float = 1e-9,
                    max_elements: int = 64) -> ProjectionLattice:
-    """Close a projector family under meet, join, and complement.
+    """Close a projector family under meet and complement.
 
     Elements are deduplicated entrywise at ``tol``; a candidate that is
     neither clearly equal to an existing element nor clearly distinct raises
-    :class:`ToleranceCollision`.  Meets and joins count a direction as
-    shared when both projectors move it by at most ``tol``.  Closure past
-    ``max_elements`` raises :class:`ClosureCapExceeded`.  The result carries
-    both the abstract tables and the projector matrices, in a canonical
-    entrywise order.
+    :class:`ToleranceCollision`.  Closure past ``max_elements`` raises
+    :class:`ClosureCapExceeded`.  The meet, one null space per pair, is the
+    only numerical decision: a direction that both projectors move by at
+    most ``tol`` is shared.  The joins and the order are read off the meet
+    and complement tables, a v b = (a' ^ b')' and a <= b exactly when
+    a ^ b = a (Kalmbach, *Orthomodular Lattices*, 1983), so neither can
+    disagree with the meets.  The result carries the tables and the
+    projector matrices, in a canonical entrywise order.
     """
     check_tol(tol)
     # the elements found so far are stack[:count]; the buffer doubles when full
@@ -545,20 +533,22 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
             raise DimensionMismatch(f"projector dim {p.dim} vs {dim}")
         add(p.matrix.astype(complex))
 
-    # every meet, join and complement the closure computes, as element indices
-    pairs: list[tuple[int, int, int, int]] = []
+    # complement[i] indexes I - stack[i]; pairs holds each meet as (i, j, meet)
     complement: list[int] = []
+    pairs: list[tuple[int, int, int]] = []
     eye = np.eye(dim, dtype=complex)
     done = 0
     while done < count:
+        # complements first, so each round pairs a complement-closed set and
+        # its joins, the complements of meets of complements, arrive with it
+        while len(complement) < count:
+            complement.append(add(eye - stack[len(complement)]))
         done_now = count
         for i in range(done_now):
-            a = stack[i]
-            if i >= done:
-                complement.append(add(eye - a))
             for j in range(max(i, done), done_now):
-                b = stack[j]
-                pairs.append((i, j, add(_proj_meet(a, b, tol)), add(_proj_join(a, b, tol))))
+                # the meet: the directions that both move by at most tol
+                basis = null_space(np.vstack([eye - stack[i], eye - stack[j]]), atol=tol)
+                pairs.append((i, j, add(basis @ basis.conj().T)))
         done = done_now
 
     n = count
@@ -567,27 +557,17 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
     pos = np.empty(n, dtype=np.intp)                      # old index -> sorted index
     pos[order] = np.arange(n)
 
-    leq = np.empty((n, n), dtype=bool)
-    for i in range(n):                                    # [i, j]: mats[j] @ mats[i] == mats[i]
-        leq[i] = np.abs(mats @ mats[i] - mats[i]).max(axis=(1, 2)) <= tol
-
-    rows, cols, meets, joins = pos[np.array(pairs, dtype=np.intp).T]
+    rows, cols, meets = pos[np.array(pairs, dtype=np.intp).T]
     meet = np.empty((n, n), dtype=np.intp)
     meet[rows, cols] = meet[cols, rows] = meets
-    join = np.empty((n, n), dtype=np.intp)
-    join[rows, cols] = join[cols, rows] = joins
     ortho = np.empty(n, dtype=np.intp)
     ortho[pos] = pos[complement]
+    join = ortho[meet[np.ix_(ortho, ortho)]]
+    leq = meet == np.arange(n)[:, None]
     zero, one = int(pos[0]), int(pos[1])
 
-    labels = []
-    for i in range(n):
-        if i == zero:
-            labels.append("0")
-        elif i == one:
-            labels.append("1")
-        else:
-            labels.append(f"P{i}")
+    labels = [f"P{i}" for i in range(n)]
+    labels[zero], labels[one] = "0", "1"
     return ProjectionLattice(tuple(labels), leq, meet, join, ortho, zero, one,
                              dim=dim, matrices=tuple(mats))
 
@@ -617,6 +597,8 @@ class LatticeState:
         n = len(self.lattice)
         if v.shape != (n,):
             raise ValidationFailure("state-shape", 0.0, f"{v.shape} vs ({n},)")
+        if not np.isfinite(v).all():
+            raise ValidationFailure("finite", float("inf"))
         if (v < -self.tolerance).any() or (v > 1 + self.tolerance).any():
             worst = float(np.max(np.abs(v - 0.5)) - 0.5)
             raise ValidationFailure("state-range", worst)
@@ -876,8 +858,11 @@ def is_superposition(nu: LatticeState, family: Sequence[LatticeState],
     The criterion: every element that all family states kill (value zero)
     must be killed by ``nu`` as well.  Returns the first violating element's
     label otherwise.  Zero-ness is judged per state by its own ``zero_atol``
-    unless an explicit ``threshold`` overrides all of them.
+    unless an explicit ``threshold`` overrides all of them; a negative or
+    NaN threshold is refused.
     """
+    if threshold is not None:
+        check_tol(threshold)
     lat = nu.lattice
     for mu in family:
         if mu.lattice is not lat:

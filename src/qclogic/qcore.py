@@ -390,6 +390,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         re = obj["re"]
     except (KeyError, TypeError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"missing field: {exc}")
+    except ValueError as exc:
+        raise ValidationFailure("matrix-json", 0.0, f"bad dim: {exc}")
     check_dim(dim)
     im = obj["im"] if "im" in obj else [0.0] * (dim * dim)
     if not (isinstance(re, list) and isinstance(im, list)):
@@ -398,6 +400,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValidationFailure(
             "matrix-json", 0.0,
             f"need {dim * dim} entries, got re={len(re)} im={len(im)}")
-    m = np.array(re, dtype=float).reshape(dim, dim) + 1j * np.array(
-        im, dtype=float).reshape(dim, dim)
+    try:
+        m = np.array(re, dtype=float).reshape(dim, dim) + 1j * np.array(
+            im, dtype=float).reshape(dim, dim)
+    except (TypeError, ValueError) as exc:
+        raise ValidationFailure("matrix-json", 0.0, f"entries must be numbers: {exc}")
     return as_square_matrix(m)

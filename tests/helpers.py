@@ -115,6 +115,28 @@ def classical_step(name: str, wires: tuple[int, ...], index: int, width: int) ->
     raise ValueError(name)
 
 
+# Projector-lattice oracles: the join and the order decided numerically, on
+# their own, where projection_oml reads both off its meet table.
+def proj_meet(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Projector onto the directions that both p and q move by at most tol."""
+    eye = np.eye(p.shape[0])
+    _, s, vh = np.linalg.svd(np.vstack([eye - p, eye - q]))
+    basis = vh[int(np.sum(s > tol)):].conj().T
+    return basis @ basis.conj().T
+
+
+def proj_join(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Projector onto range(p) + range(q): the complement of the meet of the
+    complements."""
+    eye = np.eye(p.shape[0])
+    return eye - proj_meet(eye - p, eye - q, tol)
+
+
+def proj_leq(mats, tol: float) -> np.ndarray:
+    """[a, b]: is max |m_b m_a - m_a| <= tol, that is, range(m_a) in range(m_b)?"""
+    return np.array([[np.abs(b @ a - a).max() <= tol for b in mats] for a in mats])
+
+
 # The full lattice law battery, every law computed on its own tables: the
 # seventeen laws (sixteen required, then distributivity) in report order,
 # each with its first witness.  The package computes only the ten required

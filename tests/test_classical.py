@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import helpers
-from qclogic import classical
+from qclogic import classical, gates
 from qclogic.classical import (
     And,
     BoolCircuit,
@@ -226,3 +228,24 @@ def test_machine_json_roundtrip():
     assert back.table == machine.table
     with pytest.raises(ParseError):
         classical.machine_from_json({"M": 1})
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_apply_reversible_agrees_with_compose_word_on_every_placement(width):
+    dim = 2 ** width
+    for name, arity in (("X", 1), ("CNOT", 2), ("TOFFOLI", 3)):
+        for wires in itertools.permutations(range(width), arity):
+            word = gates.GateWord(width, (gates.GateSpec(name, wires),))
+            u = gates.compose_word(word).matrix
+            images = [classical.apply_reversible(name, wires, x, width)
+                      for x in range(dim)]
+            want = np.zeros((dim, dim))
+            want[images, np.arange(dim)] = 1.0
+            assert np.array_equal(u, want), (name, wires)
+
+
+@pytest.mark.parametrize("name, wires", [("H", (0,)), ("CNOT", (0,))])
+def test_apply_reversible_refuses_a_gate_that_is_not_classical(name, wires):
+    with pytest.raises(ValidationFailure) as err:
+        classical.apply_reversible(name, wires, 0, 2)
+    assert err.value.invariant == "classical-gate"

@@ -11,8 +11,9 @@ import pytest
 
 import helpers
 import qclogic
-from qclogic import qcore
+from qclogic import algorithms, classical, qcore
 from qclogic.cli import main
+from qclogic.errors import ParseError, ValidationFailure
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +279,29 @@ def test_lattice_verify_malformed_file_is_exit_2(tmp_path, capsys, payload):
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "lattice-verify", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("reader, payload", [
+    (algorithms.oracle_from_json, {"n": "x", "m": 1, "table": {}}),
+    (algorithms.oracle_from_json, {"n": 1, "m": 1, "table": "ab"}),
+    (algorithms.periodic_from_json, {"N": "x", "r": 1, "f": [1]}),
+    (algorithms.periodic_from_json, {"N": 2, "r": 1, "f": ["a", "a"]}),
+    (classical.machine_from_json, {"M": "x", "N": 1, "rows": {}}),
+    (classical.machine_from_json, {"M": 1, "N": 1, "rows": {"0": "ab", "1": [1, 0]}}),
+    (qcore.matrix_from_json, {"dim": "x", "re": [1]}),
+    (qcore.matrix_from_json, {"dim": 1, "re": ["a"]}),
+    (qcore.matrix_from_json, {"dim": 1, "re": [{}]}),
+])
+def test_json_readers_refuse_bad_values_with_their_own_error(reader, payload):
+    # each payload raises a ValueError or, for the last, a TypeError inside
+    # the reader; neither is a QclError, so each must be turned into one
+    if reader is qcore.matrix_from_json:
+        with pytest.raises(ValidationFailure) as err:
+            reader(payload)
+        assert err.value.invariant == "matrix-json"
+    else:
+        with pytest.raises(ParseError):
+            reader(payload)
 
 
 def test_boolean_recover(capsys):

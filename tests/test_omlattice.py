@@ -625,6 +625,53 @@ def test_projection_oml_caps_and_collisions():
         projection_oml(4, [qcore.Projector(P0)])
 
 
+def _projector_family(kind: str, gen: np.random.Generator) -> tuple[int, list]:
+    if kind.startswith("basis"):
+        dim = int(kind[-1])
+        u = helpers.random_unitary(gen, dim)
+        return dim, [np.outer(u[:, k], u[:, k].conj()) for k in range(dim)]
+    if kind.startswith("lines"):
+        dim = int(kind[-1])
+        return dim, [helpers.random_pure(gen, dim), helpers.random_pure(gen, dim)]
+    return 4, [helpers.random_projector(gen, 4, rank=2), helpers.random_pure(gen, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["basis2", "basis3", "basis4", "basis5", "lines2", "lines3",
+                        "plane-line4"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_projection_oml_joins_and_order_match_the_numeric_oracles(kind, seed):
+    # joins are read off the meets by De Morgan and the order off the meet
+    # table; both must agree with computing them numerically on their own
+    tol = 1e-9
+    dim, family = _projector_family(kind, helpers.rng(seed))
+    lat = projection_oml(dim, [qcore.Projector(m) for m in family], tol=tol)
+    mats = lat.matrices
+    for a in range(len(lat)):
+        for b in range(len(lat)):
+            want = helpers.proj_join(mats[a], mats[b], tol)
+            assert np.abs(mats[lat.join[a, b]] - want).max() <= tol
+    assert np.array_equal(lat.leq, helpers.proj_leq(mats, tol))
+
+
+def test_projection_oml_takes_one_null_space_per_pair(monkeypatch):
+    # a closure of n elements pairs each element with itself and every later
+    # one once: n (n + 1) / 2 meets, and no second decomposition for joins
+    calls = []
+    real = omlattice.null_space
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(omlattice, "null_space", counting)
+    u = helpers.random_unitary(helpers.rng(0), 5)
+    lat = projection_oml(5, [qcore.Projector(np.outer(u[:, k], u[:, k].conj()))
+                             for k in range(5)])
+    assert len(lat) == 32
+    assert len(calls) == 32 * 33 // 2 == 528
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_projection_oml_refuses_a_negative_or_nan_tolerance(tol):
     # at the parent, both raised ClosureCapExceeded: no candidate matched
@@ -667,6 +714,15 @@ def test_lattice_state_refuses_a_negative_or_nan_threshold(field, tol):
     with pytest.raises(ValidationFailure) as err:
         LatticeState(boolean_oml(1), [0.0, 0.5, 0.5, 1.0], **{field: tol})
     assert err.value.invariant == "tolerance"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_lattice_state_refuses_non_finite_values(bad):
+    # every range, bound and additivity comparison with NaN is false, so
+    # only an explicit finiteness check refuses this state
+    with pytest.raises(ValidationFailure) as err:
+        LatticeState(boolean_oml(1), [0.0, bad, bad, 1.0])
+    assert err.value.invariant == "finite"
 
 
 def test_point_mass_on_boolean_is_membership():
@@ -875,6 +931,18 @@ def test_superposition_of_plus_state_on_quantum_mo2():
     assert np.allclose(lat.matrices[killed], P1)
     # an explicit threshold overrides every per-state cutoff
     assert is_superposition(plus, [zero], threshold=1.0) == (True, None)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+def test_superposition_refuses_a_negative_or_nan_threshold(threshold):
+    # unchecked, either threshold reports the point mass at {1} as a
+    # superposition of the one at {0}
+    lat = boolean_oml(1)
+    zero, one = (point_mass_state(lat, lat.index_of(label)) for label in ("{0}", "{1}"))
+    assert is_superposition(one, [zero]) == (False, "{1}")
+    with pytest.raises(ValidationFailure) as err:
+        is_superposition(one, [zero], threshold=threshold)
+    assert err.value.invariant == "tolerance"
 
 
 def test_scheme_and_run_protocol_match_truth_values():
