@@ -18,12 +18,16 @@ import numpy as np
 from .errors import (
     InvalidSpec,
     ParseError,
+    SizeCapExceeded,
     UnknownOutcome,
     ValidationFailure,
     WidthMismatch,
 )
 from .gates import GateSpec, elementary, fourier_matrix, permutation_gate
 from .qcore import Projector, UnitaryGate, _evolve, _pairing, tensor
+
+# the most draws period_find takes in one run
+MAX_SAMPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -224,12 +228,15 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
     through the Fourier transform; the resulting distribution is supported
     on the multiples of N/r with weight 1/r each, independent of which
     value was observed.  A seeded sampler then draws ``samples`` outcomes
-    (at least one, else :class:`ValidationFailure`) and estimates r as
+    (at least one, else :class:`ValidationFailure`, and at most
+    :data:`MAX_SAMPLES`, else :class:`SizeCapExceeded`) and estimates r as
     N / gcd(outcomes, N); the success probability phi(r)/r is that of a
     single draw landing on a coprime multiple.
     """
     if samples < 1:
         raise ValidationFailure("samples", samples, "need at least one draw")
+    if samples > MAX_SAMPLES:
+        raise SizeCapExceeded(f"{samples} samples exceeds cap {MAX_SAMPLES}")
     n, r = spec.modulus, spec.period
     branches = _conditional_vectors(spec)
     fmat = fourier_matrix(n)
@@ -247,10 +254,7 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
 
     rng = np.random.default_rng(seed)
     draws = rng.choice(n, size=samples, p=probs)
-    g = n
-    for c in draws:
-        g = math.gcd(g, int(c))
-    estimate = n // g
+    estimate = n // math.gcd(n, *draws.tolist())
 
     coprime = sum(1 for k in range(r) if math.gcd(k, r) == 1)
     return RunResult({str(c): float(probs[c]) for c in range(n)},

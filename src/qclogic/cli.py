@@ -68,14 +68,19 @@ def _load_json_payload(token: str):
         return json.load(fh)
 
 
+def _basis_index(token: str, dim: int) -> int:
+    idx = int(token.split(":", 1)[1])
+    if not 0 <= idx < dim:
+        raise ValidationFailure("basis-index", idx, f"dimension is {dim}")
+    return idx
+
+
 def _operator_matrix(token: str, dim: int) -> np.ndarray:
     """A state/event spec: "basis:K", "uniform", inline JSON, or a file."""
     if token == "uniform":
         return np.eye(dim, dtype=complex) / dim
     if token.startswith("basis:"):
-        idx = int(token.split(":", 1)[1])
-        if not 0 <= idx < dim:
-            raise ValidationFailure("basis-index", idx, f"dimension is {dim}")
+        idx = _basis_index(token, dim)
         m = np.zeros((dim, dim), dtype=complex)
         m[idx, idx] = 1.0
         return m
@@ -86,12 +91,6 @@ def _parse_words(texts: list[str]) -> list[gates.GateWord]:
     words = [gates.parse_word(t) for t in texts]
     width = max(w.width for w in words)
     return [gates.GateWord(width, w.word) for w in words]
-
-
-# the context each relation is decided at, in the order its function takes it
-_CONTEXT = {"equiv_total": (), "equiv_rho": ("state",), "leq_rho": ("state",),
-            "equiv_P": ("event",), "leq_P": ("event",),
-            "equiv_rho_P": ("state", "event"), "leq_rho_P": ("state", "event")}
 
 
 def _operand(args, attr: str, dim: int):
@@ -110,7 +109,7 @@ def _cmd_check_equiv(args) -> int:
     dim = gates.register_dim(wa.width)
     u = gates.compose_word(wa)
     v = gates.compose_word(wb)
-    context = [_operand(args, attr, dim) for attr in _CONTEXT[args.relation]]
+    context = [_operand(args, attr, dim) for attr in logic.CONTEXT[args.relation]]
     report = getattr(logic, args.relation)(u, v, *context, args.tol)
     payload = report.to_json_dict()
     payload["word_a"] = gates.format_word(wa)
@@ -125,12 +124,20 @@ def _cmd_truth_table(args) -> int:
     u = gates.compose_word(word)
     rho = _operand(args, "state", dim)
     tokens = args.event or [f"basis:{k}" for k in range(dim)]
-    events = [(t, qcore.Projector(_operator_matrix(t, dim))) for t in tokens]
-    payload = {
-        "word": gates.format_word(word),
-        "state": args.state,
-        "values": {label: logic.truth_value(u, rho, p) for label, p in events},
-    }
+    # a basis event is an index, any other a validated projector
+    events = [(t, _basis_index(t, dim) if t.startswith("basis:")
+               else qcore.Projector(_operator_matrix(t, dim))) for t in tokens]
+    sigma = qcore._evolve(u, rho.matrix)
+    tol = max(u.tolerance, rho.tolerance)
+    values = {}
+    for label, event in events:
+        if isinstance(event, int):
+            # Tr(sigma P_k) is sigma[k, k], at the tolerance P_k would carry
+            t = complex(sigma[event, event])
+            values[label] = qcore._probability(t, max(tol, qcore.DEFAULT_TOL))
+        else:
+            values[label] = qcore._pairing(sigma, event, tol)
+    payload = {"word": gates.format_word(word), "state": args.state, "values": values}
     _emit(payload, args)
     return 0
 

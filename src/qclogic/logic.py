@@ -8,8 +8,11 @@ yields a strict hierarchy of equivalence relations:
     same truth value at a fixed (state, event) pair,
 
 and dually for the "less true than" preorders.  Every relation here is
-decided exactly by linear algebra, not by sampling; a sampled-context
-variant is provided separately and is clearly labeled approximate.
+decided exactly by linear algebra, not by sampling.  A context fixes one
+invariant of a gate: the truth value at (rho, P), the evolved state
+U rho U* at rho alone, and the evolved event U* P U at P alone.  Each
+relation at a context is one comparison of the two gates' invariants,
+equality or order, and ``quotient`` groups words by the same invariants.
 Failed quantified relations come with an explicit separating witness.
 """
 
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, HierarchyViolation, ValidationFailure
+from .errors import DimensionMismatch, HierarchyViolation
 from .gates import GateWord, compose_word, format_word
 from .qcore import (
     DEFAULT_TOL,
@@ -35,8 +38,12 @@ from .qcore import (
     matrix_to_json,
 )
 
-RELATIONS = ("equiv_rho_P", "equiv_rho", "equiv_P", "equiv_total",
-             "leq_rho_P", "leq_rho", "leq_P")
+# the context each relation is decided at, in the order its function takes it
+CONTEXT = {"equiv_rho_P": ("state", "event"), "equiv_rho": ("state",),
+           "equiv_P": ("event",), "equiv_total": (),
+           "leq_rho_P": ("state", "event"), "leq_rho": ("state",),
+           "leq_P": ("event",)}
+RELATIONS = tuple(CONTEXT)
 
 
 def truth_value(u: UnitaryGate, rho: DensityOperator, p: Projector) -> float:
@@ -99,30 +106,61 @@ def _check_context(tol: float, *dims: int):
         raise DimensionMismatch(f"dimensions differ: {dims}")
 
 
-def _top_eigenvector(herm: np.ndarray, *, most_negative: bool = False) -> np.ndarray:
-    """Eigenvector of largest |eigenvalue| (ties resolved toward the positive
-    end), or of the most negative eigenvalue."""
-    evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
-    if most_negative:
-        idx = 0
-    else:
-        idx = len(evals) - 1 if abs(evals[-1]) >= abs(evals[0]) else 0
-    v = evecs[:, idx]
-    return v / np.linalg.norm(v)
-
-
 def _rank_one(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
+
+
+def _invariant(u: UnitaryGate, rho: DensityOperator | None,
+               p: Projector | None):
+    """What a context sees of U: the truth value at (rho, p), U rho U* at
+    rho alone, U* P U at p alone."""
+    if rho is None:
+        return u.matrix.conj().T @ p.matrix @ u.matrix
+    if p is None:
+        return _evolve(u, rho.matrix)
+    return truth_value(u, rho, p)
+
+
+def _decide(relation: str, u: UnitaryGate, v: UnitaryGate,
+            rho: DensityOperator | None, p: Projector | None,
+            tol: float) -> EquivalenceReport:
+    """Compare the invariants of U and V at a context for equality, or for
+    order (U's at most V's).
+
+    Evolved states or events are equal when every entry agrees within
+    ``tol``, and ordered when V's minus U's is positive semidefinite within
+    ``tol``.  A failing comparison is witnessed by the eigenvector of the
+    difference whose eigenvalue is largest in magnitude (equality) or most
+    negative (order): an event at a fixed state, a state at a fixed event.
+    """
+    _check_context(tol, *(op.dim for op in (u, v, rho, p) if op is not None))
+    equal = relation.startswith("equiv")
+    if rho is not None and p is not None:
+        a, b = _invariant(u, rho, p), _invariant(v, rho, p)
+        holds = abs(a - b) <= tol if equal else a <= b + tol
+        return EquivalenceReport(relation, holds, tol, lhs=a, rhs=b)
+    # U's minus V's for equality, V's minus U's for order
+    first, second = (u, v) if equal else (v, u)
+    diff = _invariant(first, rho, p) - _invariant(second, rho, p)
+    if equal:
+        holds = float(np.max(np.abs(diff))) <= tol
+    else:
+        holds = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -tol
+    if holds:
+        return EquivalenceReport(relation, True, tol)
+    evals, evecs = np.linalg.eigh((diff + diff.conj().T) / 2)
+    top = equal and abs(evals[-1]) >= abs(evals[0])
+    w = evecs[:, len(evals) - 1 if top else 0]
+    w = _rank_one(w / np.linalg.norm(w))
+    if p is None:
+        return EquivalenceReport(relation, False, tol, witness_event=Projector(w))
+    return EquivalenceReport(relation, False, tol, witness_state=DensityOperator(w))
 
 
 def equiv_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
                 p: Projector, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Do U and V have the same truth value at this one (state, event) pair?"""
-    _check_context(tol, u.dim, v.dim, rho.dim, p.dim)
-    lhs = truth_value(u, rho, p)
-    rhs = truth_value(v, rho, p)
-    return EquivalenceReport("equiv_rho_P", abs(lhs - rhs) <= tol, tol,
-                             lhs=lhs, rhs=rhs)
+    return _decide("equiv_rho_P", u, v, rho, p, tol)
 
 
 def equiv_rho(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
@@ -133,14 +171,7 @@ def equiv_rho(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
     evolved states is the same as agreement of Tr(. P) for every event P.
     On failure, the spectral top of the difference gives a separating event.
     """
-    _check_context(tol, u.dim, v.dim, rho.dim)
-    a = _evolve(u, rho.matrix)
-    b = _evolve(v, rho.matrix)
-    gap = float(np.max(np.abs(a - b)))
-    if gap <= tol:
-        return EquivalenceReport("equiv_rho", True, tol)
-    witness = Projector(_rank_one(_top_eigenvector(a - b)))
-    return EquivalenceReport("equiv_rho", False, tol, witness_event=witness)
+    return _decide("equiv_rho", u, v, rho, None, tol)
 
 
 def equiv_P(u: UnitaryGate, v: UnitaryGate, p: Projector,
@@ -150,14 +181,7 @@ def equiv_P(u: UnitaryGate, v: UnitaryGate, p: Projector,
     Equivalent to U* P U = V* P V; a failing pair is separated by the state
     built from the top eigenvector of the difference.
     """
-    _check_context(tol, u.dim, v.dim, p.dim)
-    a = u.matrix.conj().T @ p.matrix @ u.matrix
-    b = v.matrix.conj().T @ p.matrix @ v.matrix
-    gap = float(np.max(np.abs(a - b)))
-    if gap <= tol:
-        return EquivalenceReport("equiv_P", True, tol)
-    witness = DensityOperator(_rank_one(_top_eigenvector(a - b)))
-    return EquivalenceReport("equiv_P", False, tol, witness_state=witness)
+    return _decide("equiv_P", u, v, None, p, tol)
 
 
 def equiv_total(u: UnitaryGate, v: UnitaryGate,
@@ -228,10 +252,7 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate, m: np.ndarray,
 def leq_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
               p: Projector, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Is U's truth value at (rho, p) at most V's?"""
-    _check_context(tol, u.dim, v.dim, rho.dim, p.dim)
-    lhs = truth_value(u, rho, p)
-    rhs = truth_value(v, rho, p)
-    return EquivalenceReport("leq_rho_P", lhs <= rhs + tol, tol, lhs=lhs, rhs=rhs)
+    return _decide("leq_rho_P", u, v, rho, p, tol)
 
 
 def leq_rho(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
@@ -241,13 +262,7 @@ def leq_rho(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
     Holds exactly when V rho V* - U rho U* is positive semidefinite.  The
     most negative eigenvector supplies a violating event otherwise.
     """
-    _check_context(tol, u.dim, v.dim, rho.dim)
-    diff = _evolve(v, rho.matrix) - _evolve(u, rho.matrix)
-    low = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
-    if low >= -tol:
-        return EquivalenceReport("leq_rho", True, tol)
-    witness = Projector(_rank_one(_top_eigenvector(diff, most_negative=True)))
-    return EquivalenceReport("leq_rho", False, tol, witness_event=witness)
+    return _decide("leq_rho", u, v, rho, None, tol)
 
 
 def leq_P(u: UnitaryGate, v: UnitaryGate, p: Projector,
@@ -257,14 +272,7 @@ def leq_P(u: UnitaryGate, v: UnitaryGate, p: Projector,
     Holds exactly when V* P V - U* P U is positive semidefinite; failing,
     the most negative eigenvector gives a violating state.
     """
-    _check_context(tol, u.dim, v.dim, p.dim)
-    diff = (v.matrix.conj().T @ p.matrix @ v.matrix
-            - u.matrix.conj().T @ p.matrix @ u.matrix)
-    low = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
-    if low >= -tol:
-        return EquivalenceReport("leq_P", True, tol)
-    witness = DensityOperator(_rank_one(_top_eigenvector(diff, most_negative=True)))
-    return EquivalenceReport("leq_P", False, tol, witness_state=witness)
+    return _decide("leq_P", u, v, None, p, tol)
 
 
 @dataclass(frozen=True)
@@ -354,17 +362,12 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
     classes: list[list[GateWord]] = []
     keys: list[tuple] = []
     by_key: dict[tuple, int] = {}
+    event = p if relation == "equiv_rho_P" else None
     # class representatives, stacked; complex holds a truth value exactly
-    shape = rho.matrix.shape if relation == "equiv_rho" else ()
-    reps = np.empty((0,) + shape, dtype=complex)
+    reps = np.empty((0,) + (rho.matrix.shape if event is None else ()), dtype=complex)
     for w in words:
-        u = compose_word(w)
-        if relation == "equiv_rho":
-            data = _evolve(u, rho.matrix)
-            key = entry_key(data, 9)
-        else:
-            data = truth_value(u, rho, p)
-            key = (round(data, 9) + 0.0,)
+        data = _invariant(compose_word(w), rho, event)
+        key = entry_key(data, 9) if event is None else (round(data, 9) + 0.0,)
         dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
         idx = by_key.get(key)
         if idx is None or dist[idx] > tol:
@@ -382,23 +385,3 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
                              tuple(tuple(c) for c in classes),
                              tuple(keys))
 
-
-def equiv_rho_on_bases(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
-                       bases: Sequence[UnitaryGate],
-                       tol: float = DEFAULT_TOL) -> EquivalenceReport:
-    """Approximate fixed-state equivalence probed on listed bases only.
-
-    Each basis is given as a unitary whose columns are the measurement
-    vectors; only rank-one events from those columns are compared, so a
-    "holds" verdict here is weaker than :func:`equiv_rho` and should be
-    treated as a screening result.
-    """
-    _check_context(tol, u.dim, v.dim, rho.dim)
-    for basis in bases:
-        _check_context(tol, u.dim, basis.dim)
-        for k in range(basis.dim):
-            p = Projector(_rank_one(basis.matrix[:, k]))
-            rep = equiv_rho_P(u, v, rho, p, tol)
-            if not rep.holds:
-                return EquivalenceReport("equiv_rho", False, tol, witness_event=p)
-    return EquivalenceReport("equiv_rho", True, tol)

@@ -470,9 +470,11 @@ class ProjectionLattice(FiniteOML):
         super().__post_init__()
         mats = []
         for m in self.matrices:
-            p = np.asarray(m, dtype=complex)
-            p.setflags(write=False)
-            mats.append(p)
+            if np.shape(m) != (self.dim, self.dim):
+                raise DimensionMismatch(
+                    f"matrix shape {np.shape(m)} vs ({self.dim}, {self.dim})")
+            # a validated, read-only copy; the caller's array is left alone
+            mats.append(Projector(m).matrix)
         if len(mats) != len(self.labels):
             raise ValidationFailure("matrices", 0.0, "one matrix per element")
         object.__setattr__(self, "matrices", tuple(mats))

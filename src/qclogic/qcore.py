@@ -178,8 +178,12 @@ def _pairing(sigma: np.ndarray, p: Projector, tol: float) -> float:
     """:func:`born` for a state's matrix sigma that is valid at ``tol``."""
     if len(sigma) != p.dim:
         raise DimensionMismatch(f"state dim {len(sigma)} vs event dim {p.dim}")
-    t = complex(np.trace(sigma @ p.matrix))
-    tol = max(tol, p.tolerance)
+    return _probability(complex(np.trace(sigma @ p.matrix)), max(tol, p.tolerance))
+
+
+def _probability(t: complex, tol: float) -> float:
+    """A trace Tr(sigma P) as a probability: its imaginary part must be
+    within ``tol``, and its real part is clamped into [0, 1]."""
     if abs(t.imag) > tol:
         raise NonRealTrace(f"imaginary part {t.imag:.3e} exceeds {tol:.1e}")
     return min(1.0, max(0.0, t.real))

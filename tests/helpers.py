@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from qclogic.logic import EquivalenceReport
 from qclogic.omlattice import LawReport
+from qclogic.qcore import DensityOperator, Projector
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -65,6 +67,71 @@ SKEWED_UNIFORM = np.eye(4) / 4 + 1j * (0.9e-9 / 4) * np.ones((4, 4))
 def truth_value_oracle(u: np.ndarray, rho: np.ndarray, p: np.ndarray) -> float:
     """Tr(U rho U* P) by direct numpy, no package code."""
     return float(np.trace(u @ rho @ u.conj().T @ p).real)
+
+
+# The six context deciders, each written out on its own with its own
+# evolution and comparison; logic decides all six through one comparison of
+# invariants and must agree with these bit for bit.
+def _top_eigenvector(herm: np.ndarray, *, most_negative: bool = False) -> np.ndarray:
+    """Eigenvector of largest |eigenvalue| (ties toward the positive end),
+    or of the most negative eigenvalue."""
+    evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
+    if most_negative:
+        idx = 0
+    else:
+        idx = len(evals) - 1 if abs(evals[-1]) >= abs(evals[0]) else 0
+    v = evecs[:, idx]
+    return v / np.linalg.norm(v)
+
+
+def _rank_one(v: np.ndarray) -> np.ndarray:
+    return np.outer(v, v.conj())
+
+
+def decider_oracle(relation: str, u, v, *context, tol: float) -> EquivalenceReport:
+    """The report of ``logic.<relation>(u, v, *context, tol)``, for context
+    dimensions that agree and a valid tolerance."""
+    evolve = lambda g, rho: g.matrix @ rho.matrix @ g.matrix.conj().T
+    pull_back = lambda g, p: g.matrix.conj().T @ p.matrix @ g.matrix
+    truth = lambda g, rho, p: min(1.0, max(0.0, complex(
+        np.trace(evolve(g, rho) @ p.matrix)).real))
+    if relation == "equiv_rho_P":
+        rho, p = context
+        lhs, rhs = truth(u, rho, p), truth(v, rho, p)
+        return EquivalenceReport(relation, abs(lhs - rhs) <= tol, tol, lhs=lhs, rhs=rhs)
+    if relation == "leq_rho_P":
+        rho, p = context
+        lhs, rhs = truth(u, rho, p), truth(v, rho, p)
+        return EquivalenceReport(relation, lhs <= rhs + tol, tol, lhs=lhs, rhs=rhs)
+    if relation == "equiv_rho":
+        (rho,) = context
+        a, b = evolve(u, rho), evolve(v, rho)
+        if float(np.max(np.abs(a - b))) <= tol:
+            return EquivalenceReport(relation, True, tol)
+        witness = Projector(_rank_one(_top_eigenvector(a - b)))
+        return EquivalenceReport(relation, False, tol, witness_event=witness)
+    if relation == "equiv_P":
+        (p,) = context
+        a, b = pull_back(u, p), pull_back(v, p)
+        if float(np.max(np.abs(a - b))) <= tol:
+            return EquivalenceReport(relation, True, tol)
+        witness = DensityOperator(_rank_one(_top_eigenvector(a - b)))
+        return EquivalenceReport(relation, False, tol, witness_state=witness)
+    if relation == "leq_rho":
+        (rho,) = context
+        diff = evolve(v, rho) - evolve(u, rho)
+        if float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -tol:
+            return EquivalenceReport(relation, True, tol)
+        witness = Projector(_rank_one(_top_eigenvector(diff, most_negative=True)))
+        return EquivalenceReport(relation, False, tol, witness_event=witness)
+    if relation == "leq_P":
+        (p,) = context
+        diff = pull_back(v, p) - pull_back(u, p)
+        if float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -tol:
+            return EquivalenceReport(relation, True, tol)
+        witness = DensityOperator(_rank_one(_top_eigenvector(diff, most_negative=True)))
+        return EquivalenceReport(relation, False, tol, witness_state=witness)
+    raise ValueError(f"no context decider {relation!r}")
 
 
 def dense_embedding(spec, width: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from qclogic.algorithms import (
 from qclogic.errors import (
     InvalidSpec,
     ParseError,
+    SizeCapExceeded,
     UnknownOutcome,
     ValidationFailure,
     WidthMismatch,
@@ -190,6 +191,14 @@ def test_period_verdict_estimates_from_draws():
     for samples in (0, -3):
         with pytest.raises(ValidationFailure):
             period_find(spec, samples=samples)
+
+
+def test_period_find_refuses_more_draws_than_the_cap():
+    spec = PeriodicSpec(4, 2, (0, 1, 0, 1))
+    assert period_find(spec, samples=10 ** 6, seed=1).verdict == "period=2"
+    with pytest.raises(SizeCapExceeded, match=r"^1000001 samples exceeds cap 1000000$"):
+        period_find(spec, samples=10 ** 6 + 1)
+    assert algorithms.MAX_SAMPLES == 10 ** 6
 
 
 def test_run_result_validation_and_json():

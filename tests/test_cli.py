@@ -156,6 +156,33 @@ def test_truth_table_default_events(capsys):
     assert payload["values"]["basis:1"] == 0.5
 
 
+def test_truth_table_default_events_at_the_register_cap(tmp_path):
+    # the child alone runs under a 1 GiB address-space limit, and reports its
+    # own peak resident set (KiB on Linux) after the table is written
+    target = tmp_path / "table.json"
+    child = "\n".join([
+        "import resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "from qclogic.cli import main",
+        "code = main(['truth-table', 'width=10; H[0]', '--state', 'basis:0',",
+        "             '--out', sys.argv[1]])",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+        "sys.exit(code)",
+    ])
+    src = str(pathlib.Path(qclogic.__file__).resolve().parents[1])
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", child, str(target)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, **threads, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 300 * 1024
+    values = json.loads(target.read_text())["values"]
+    assert len(values) == 1024
+    assert values["basis:0"] == values["basis:512"] == 0.5
+    assert sum(values.values()) == 1.0
+
+
 def test_truth_table_inline_event_and_table_format(capsys):
     plus = qcore.matrix_to_json(np.array([[0.5, 0.5], [0.5, 0.5]]))
     code, payload = run_json(capsys, "truth-table", "H", "--state", "basis:0",
@@ -230,6 +257,13 @@ def test_run_period(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "run-period", spec, "--samples", "0")
     assert code == 2 and out == "" and "samples" in err
+
+
+def test_run_period_past_the_sample_cap_is_exit_2(capsys):
+    spec = json.dumps({"N": 4, "r": 2, "f": [0, 1, 0, 1]})
+    code, out, err = run_cli(capsys, "run-period", spec, "--samples", "1000001")
+    assert code == 2 and out == ""
+    assert err == "error: 1000001 samples exceeds cap 1000000\n"
 
 
 def test_lattice_verify_builtins(capsys):

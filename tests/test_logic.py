@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from unittest import mock
@@ -15,7 +16,6 @@ from qclogic.logic import (
     equiv_P,
     equiv_rho,
     equiv_rho_P,
-    equiv_rho_on_bases,
     equiv_total,
     hierarchy_check,
     leq_P,
@@ -412,10 +412,48 @@ def test_quotient_joins_the_first_representative_within_tol():
     assert part.classes == ((words[0], words[2]), (words[1],))
 
 
-def test_equiv_rho_on_bases_is_a_screen():
-    # the computational basis cannot see the phase flip on |+>
-    comp = qcore.UnitaryGate(np.eye(2))
-    assert equiv_rho_on_bases(EYE, ZGATE, PLUS, [comp]).holds
-    # the Hadamard basis can, and the exact relation agrees
-    assert not equiv_rho_on_bases(EYE, ZGATE, PLUS, [HGATE]).holds
-    assert not equiv_rho(EYE, ZGATE, PLUS).holds
+
+CONTEXT_DECIDERS = [r for r in logic.RELATIONS if r != "equiv_total"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["random", "phase", "same"]), st.sampled_from(["pure", "mixed"]),
+       st.sampled_from([1e-9, 1e-3, 0.3]))
+def test_context_deciders_equal_the_oracle_bit_for_bit(seed, width, pair, state, tol):
+    gen = helpers.rng(seed)
+    dim = 2 ** width
+    u = qcore.UnitaryGate(helpers.random_unitary(gen, dim))
+    v = {"random": qcore.UnitaryGate(helpers.random_unitary(gen, dim)),
+         "phase": qcore.UnitaryGate(np.exp(0.4j) * u.matrix), "same": u}[pair]
+    rho = qcore.DensityOperator(helpers.random_pure(gen, dim) if state == "pure"
+                                else helpers.random_density(gen, dim))
+    p = qcore.Projector(helpers.random_projector(gen, dim))
+    for relation in CONTEXT_DECIDERS:
+        context = [rho if what == "state" else p for what in logic.CONTEXT[relation]]
+        for a, b in ((u, v), (v, u)):
+            got = getattr(logic, relation)(a, b, *context, tol)
+            want = helpers.decider_oracle(relation, a, b, *context, tol=tol)
+            assert _report_fields(got) == _report_fields(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QUOTIENT_POOLS[0], QUOTIENT_POOLS[2]]),   # G1 width 1, G2 width 2
+       st.sampled_from(["equiv_rho_P", "equiv_rho"]),
+       st.sampled_from(["pure", "mixed"]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-9, 1e-3, 0.3]))
+def test_quotient_agrees_with_the_pairwise_deciders(words, relation, state, seed, tol):
+    gen = helpers.rng(seed)
+    dim = 2 ** words[0].width
+    rho = qcore.DensityOperator(helpers.random_pure(gen, dim) if state == "pure"
+                                else helpers.random_density(gen, dim))
+    p = qcore.Projector(helpers.random_projector(gen, dim))
+    context = {"state": rho, "event": p}
+    decide = lambda a, b: getattr(logic, relation)(
+        a, b, *(context[what] for what in logic.CONTEXT[relation]), tol).holds
+    part = quotient(words, relation, rho, p, tol)
+    firsts = [gates.compose_word(cls[0]) for cls in part.classes]
+    for first, cls in zip(firsts, part.classes):
+        assert all(decide(gates.compose_word(w), first) for w in cls[1:])
+    for a, b in itertools.combinations(firsts, 2):
+        assert not decide(a, b)

@@ -1024,3 +1024,29 @@ def test_lattice_from_json_refuses_oversize_before_parsing():
            "ortho": {s: s for s in labels}, "zero": "x0", "one": "x1"}
     with pytest.raises(SizeCapExceeded):
         lattice_from_json(obj)
+
+
+def _qubit_lattice_tables():
+    lat = projection_oml(2, [qcore.Projector(helpers.basis_state(2, k)) for k in range(2)])
+    return lat, (lat.labels, lat.leq, lat.meet, lat.join, lat.ortho, lat.zero, lat.one)
+
+
+def test_projection_lattice_leaves_the_callers_arrays_writable():
+    lat, tables = _qubit_lattice_tables()
+    mats = [np.array(m) for m in lat.matrices]
+    built = omlattice.ProjectionLattice(*tables, dim=2, matrices=tuple(mats))
+    assert all(m.flags.writeable for m in mats)
+    mats[0][0, 0] = 7.0
+    assert all(not m.flags.writeable for m in built.matrices)
+    assert np.array_equal(built.matrices[0], lat.matrices[0])
+
+
+def test_projection_lattice_refuses_wrong_shapes_and_non_projectors():
+    _, tables = _qubit_lattice_tables()
+    with pytest.raises(DimensionMismatch, match=r"\(3, 3\) vs \(2, 2\)"):
+        omlattice.ProjectionLattice(*tables, dim=2, matrices=(np.ones((3, 3)),) * 4)
+    cases = {"idempotent": np.ones((2, 2)), "hermitian": np.array([[1, 1], [0, 0]])}
+    for invariant, bad in cases.items():
+        with pytest.raises(ValidationFailure) as exc:
+            omlattice.ProjectionLattice(*tables, dim=2, matrices=(bad,) * 4)
+        assert exc.value.invariant == invariant
