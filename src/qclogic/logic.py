@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HierarchyViolation
-from .gates import GateWord, compose_word, format_word
+from .gates import GateWord, _apply, format_word
 from .qcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -33,8 +33,8 @@ from .qcore import (
     UnitaryGate,
     _evolve,
     _pairing,
+    _probability,
     check_tol,
-    entry_key,
     matrix_to_json,
 )
 
@@ -218,7 +218,12 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate, m: np.ndarray,
     A superposition of two eigenvectors of m with distinct eigenphases is
     moved differently by U and V; the separating event then comes from
     :func:`equiv_rho`.  A seeded random search backs this up in case of
-    eigensolver ties.
+    eigensolver ties.  The search stops at the first candidate whose
+    truth values differ by more than 10 tol, or keeps the one where they
+    differ most.  Candidates are not screened by ``equiv_rho`` at ``tol``:
+    at a loose ``tol`` the evolved states of a wide register can agree
+    entrywise within ``tol`` (their entries shrink as the dimension grows)
+    while a truth value still tells U and V apart.
     """
     evals, evecs = np.linalg.eig(m)
     order = np.argsort(np.angle(evals))
@@ -234,7 +239,9 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate, m: np.ndarray,
     best: tuple[float, DensityOperator, Projector] | None = None
     for w in candidates:
         rho = DensityOperator(_rank_one(w))
-        rep = equiv_rho(u, v, rho, tol)
+        # at tolerance 0 every candidate that moves at all gets a witness,
+        # the same one equiv_rho gives at tol when it fails there
+        rep = equiv_rho(u, v, rho, 0.0)
         if rep.holds:
             continue
         p = rep.witness_event
@@ -243,7 +250,7 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate, m: np.ndarray,
             best = (sep, rho, p)
         if sep > 10 * tol:
             break
-    if best is None:
+    if best is None or best[0] == 0:
         raise HierarchyViolation(
             "equiv_total failed but no separating context was found")
     return best[1], best[2]
@@ -331,16 +338,133 @@ class QuotientPartition:
         }
 
 
+def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and the diagonal of S with rho = F S F* to rounding.
+
+    rho = A + iB with A and B Hermitian; B is zero unless rho is Hermitian
+    only within its tolerance.  F holds the eigenvectors of A and of B
+    scaled by sqrt|lambda|, and S the signs of A's eigenvalues and i times
+    those of B's, for the eigenvalues above numpy's ``matrix_rank`` cutoff
+    d * eps * max|lambda|.  A pure state gives one column.  The small
+    negative eigenvalues a state admits within its tolerance are kept with
+    sign -1, not clipped.
+    """
+    evals, evecs = [], []
+    for part, unit in (((rho + rho.conj().T) / 2, 1), ((rho - rho.conj().T) / 2j, 1j)):
+        if part.any():
+            lam, vec = np.linalg.eigh(part)
+            evals.append(lam * unit)
+            evecs.append(vec)
+    lam, vec = np.concatenate(evals), np.hstack(evecs)
+    mags = np.abs(lam)
+    keep = mags > len(rho) * np.finfo(float).eps * mags.max()
+    return vec[:, keep] * np.sqrt(mags[keep]), lam[keep] / mags[keep]
+
+
+def _evolve_words(words: list[GateWord], factor: np.ndarray) -> np.ndarray:
+    """U F for each word's product U, as a (dim, len(words), rank) array.
+
+    Every prefix of a listed word is a node of a trie, so any word list
+    takes this path.  The nodes of one length are evolved from their
+    parents with one kernel call per last letter, on the parents' blocks
+    side by side, and a length's states are dropped once the next length
+    is built.
+    """
+    width = words[0].width
+    dim, rank = factor.shape
+    # levels[k] numbers the nodes of length k by (parent node, last letter);
+    # the root, the empty word, is node 0 of length 0
+    levels: list[dict] = [{}]
+    ends: list[list[tuple[int, int]]] = [[]]   # per length: (word, node)
+    for i, w in enumerate(words):
+        node = 0
+        for k, spec in enumerate(w.word, 1):
+            if k == len(levels):
+                levels.append({})
+                ends.append([])
+            node = levels[k].setdefault((node, spec), len(levels[k]))
+        ends[len(w.word)].append((i, node))
+    out = np.empty((dim, len(words), rank), dtype=complex)
+    states = factor[:, None, :]
+    for k, level in enumerate(levels):
+        if k:
+            groups: dict = {}
+            for (parent, spec), node in level.items():
+                parents, nodes = groups.setdefault(spec, ([], []))
+                parents.append(parent)
+                nodes.append(node)
+            children = np.empty((dim, len(level), rank), dtype=complex)
+            for spec, (parents, nodes) in groups.items():
+                block = states[:, parents, :].reshape(dim, -1)
+                children[:, nodes, :] = _apply(spec, block, width).reshape(
+                    dim, len(nodes), rank)
+            states = children
+        if ends[k]:
+            ids, nodes = zip(*ends[k])
+            out[:, ids, :] = states[:, nodes, :]
+    return out
+
+
+def _rounded(state: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts side by side, to 9 digits; -0.0 and 0.0
+    become one."""
+    return np.round(state.view(float), 9) + 0.0
+
+
+# the evolved factors of one chunk of words stay within this many bytes
+_CHUNK_BYTES = 2 << 20
+
+
+def _word_invariants(words: list[GateWord], relation: str, rho: DensityOperator,
+                     p: Projector | None):
+    """Each word's invariant, in order: its truth value
+    Sum_j s_j <(UF)_j, P (UF)_j>, or its evolved state (UF) S (UF)*.
+
+    Words are evolved in chunks of the list as given, each holding at most
+    ``_CHUNK_BYTES`` of U F, so the working set is bounded whatever the
+    rank of rho; at a rank-one context, up to 2**17 / dim words share one
+    chunk.
+    """
+    factor, signs = _factor(rho.matrix)
+    dim, rank = factor.shape
+    step = max(1, _CHUNK_BYTES // (16 * dim * rank))
+    for start in range(0, len(words), step):
+        states = _evolve_words(words[start:start + step], factor)
+        if relation == "equiv_rho_P":
+            # truth_value's tolerance for a gate, which has the default
+            pair_tol = max(DEFAULT_TOL, rho.tolerance, p.tolerance)
+            flat = states.reshape(dim, -1)
+            traces = (np.einsum("ij,ij->j", flat.conj(), p.matrix @ flat)
+                      .reshape(-1, rank) @ signs)
+            yield from (_probability(complex(t), pair_tol) for t in traces)
+        else:
+            for i in range(states.shape[1]):
+                y = states[:, i, :]
+                yield (y * signs) @ y.conj().T
+
+
 def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
              p: Projector | None = None, tol: float = DEFAULT_TOL) -> QuotientPartition:
     """Partition words by equiv_rho or equiv_rho_P at a fixed context.
+
+    Words are evolved from their prefixes, one kernel call per letter and
+    length, on a factor F of the context with rho = F S F* (S the signs of
+    rho's eigenvalues).  Any word list is accepted: unordered, with
+    repeats, or not closed under prefixes.  Words are evolved in chunks
+    of at most 2 MiB of U F (at a rank-one context, 2**17 / dim words per
+    chunk); memory is that chunk plus one evolved state per class.
+    A word's invariant is its truth value Sum_j s_j <(UF)_j, P (UF)_j>, or
+    its evolved state (UF) S (UF)*.
 
     Words are keyed by their rounded invariant (9 decimal digits) for
     near-constant-time grouping.  A key hit joins that class only if the
     word is within ``tol`` of its representative; a miss, or a hit that is
     too far, is compared against every representative at ``tol``, so values
     that straddle a rounding boundary merge instead of splitting and values
-    that share a key but differ by more than ``tol`` stay apart.
+    that share a key but differ by more than ``tol`` stay apart.  A class's
+    key is its representative's; the factor's arithmetic differs from
+    composing U by about 1e-16, so at a context with inexact entries a key
+    can differ from the composed route's by one unit in its ninth digit.
     """
     check_tol(tol)
     if relation not in ("equiv_rho", "equiv_rho_P"):
@@ -360,28 +484,31 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
             raise DimensionMismatch(f"{what} dim {op.dim} vs register width {width}")
 
     classes: list[list[GateWord]] = []
-    keys: list[tuple] = []
-    by_key: dict[tuple, int] = {}
-    event = p if relation == "equiv_rho_P" else None
+    by_key: dict = {}
     # class representatives, stacked; complex holds a truth value exactly
-    reps = np.empty((0,) + (rho.matrix.shape if event is None else ()), dtype=complex)
-    for w in words:
-        data = _invariant(compose_word(w), rho, event)
-        key = entry_key(data, 9) if event is None else (round(data, 9) + 0.0,)
-        dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
+    reps = np.empty((0,) + (rho.matrix.shape if relation == "equiv_rho" else ()),
+                    dtype=complex)
+    for w, data in zip(words, _word_invariants(words, relation, rho, p)):
+        key = (round(data, 9) + 0.0 if relation == "equiv_rho_P"
+               else _rounded(data).tobytes())
         idx = by_key.get(key)
-        if idx is None or dist[idx] > tol:
+        if idx is None or np.abs(reps[idx] - data).max() > tol:
+            dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
             near = np.flatnonzero(dist <= tol)
             idx = int(near[0]) if near.size else None
         if idx is None:
             classes.append([w])
             reps = np.concatenate([reps, [data]])
-            keys.append(key)
             by_key[key] = len(classes) - 1
         else:
             classes[idx].append(w)
             by_key.setdefault(key, idx)
+    del by_key   # before the public keys, which take far more room
+    # a class's key is its first word's, the rounded representative
+    if relation == "equiv_rho_P":
+        keys = [(round(float(r.real), 9) + 0.0,) for r in reps]
+    else:
+        keys = [tuple(map(tuple, _rounded(r).reshape(-1, 2).tolist())) for r in reps]
     return QuotientPartition(relation,
                              tuple(tuple(c) for c in classes),
                              tuple(keys))
-

@@ -2,16 +2,20 @@
 
 The oracles here deliberately avoid the package's own code paths: matrix
 products are spelled out with plain numpy (or plain Python for the smallest
-cases) so expected values come from a second route.
+cases) so expected values come from a second route.  The exception is
+``quotient_oracle``, which composes each word with the package's kernel: it
+is the per-word route that the prefix-shared ``quotient`` must reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qclogic.logic import EquivalenceReport
+from qclogic import logic
+from qclogic.gates import compose_word
+from qclogic.logic import EquivalenceReport, QuotientPartition
 from qclogic.omlattice import LawReport
-from qclogic.qcore import DensityOperator, Projector
+from qclogic.qcore import DensityOperator, Projector, entry_key
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -132,6 +136,33 @@ def decider_oracle(relation: str, u, v, *context, tol: float) -> EquivalenceRepo
         witness = DensityOperator(_rank_one(_top_eigenvector(diff, most_negative=True)))
         return EquivalenceReport(relation, False, tol, witness_state=witness)
     raise ValueError(f"no context decider {relation!r}")
+
+
+def quotient_oracle(words, relation: str, rho, p=None, tol: float = 1e-9):
+    """``logic.quotient`` word by word, for valid arguments: each word
+    composed on its own, its invariant taken by ``logic._invariant``, keyed
+    by ``entry_key(..., 9)``, and compared against every representative; the
+    route that evolving words from their prefixes replaced."""
+    classes, keys, by_key = [], [], {}
+    event = p if relation == "equiv_rho_P" else None
+    reps = np.empty((0,) + (rho.matrix.shape if event is None else ()), dtype=complex)
+    for w in words:
+        data = logic._invariant(compose_word(w), rho, event)
+        key = entry_key(data, 9) if event is None else (round(data, 9) + 0.0,)
+        dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
+        idx = by_key.get(key)
+        if idx is None or dist[idx] > tol:
+            near = np.flatnonzero(dist <= tol)
+            idx = int(near[0]) if near.size else None
+        if idx is None:
+            classes.append([w])
+            reps = np.concatenate([reps, [data]])
+            keys.append(key)
+            by_key[key] = len(classes) - 1
+        else:
+            classes[idx].append(w)
+            by_key.setdefault(key, idx)
+    return QuotientPartition(relation, tuple(tuple(c) for c in classes), tuple(keys))
 
 
 def dense_embedding(spec, width: int) -> np.ndarray:

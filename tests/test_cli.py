@@ -11,7 +11,7 @@ import pytest
 
 import helpers
 import qclogic
-from qclogic import algorithms, classical, qcore
+from qclogic import algorithms, classical, gates, qcore
 from qclogic.cli import main
 from qclogic.errors import ParseError, ValidationFailure
 
@@ -156,31 +156,64 @@ def test_truth_table_default_events(capsys):
     assert payload["values"]["basis:1"] == 0.5
 
 
-def test_truth_table_default_events_at_the_register_cap(tmp_path):
-    # the child alone runs under a 1 GiB address-space limit, and reports its
-    # own peak resident set (KiB on Linux) after the table is written
-    target = tmp_path / "table.json"
+def _main_in_child(argv: list[str], out: pathlib.Path) -> tuple[int, int, str]:
+    """Run the CLI with ``--out`` in a child under a 1 GiB address-space
+    limit, BLAS on one thread; returns its exit code, its own peak resident
+    set in KiB (on Linux) after main returns, and its stderr."""
     child = "\n".join([
-        "import resource, sys",
+        "import json, resource, sys",
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
         "from qclogic.cli import main",
-        "code = main(['truth-table', 'width=10; H[0]', '--state', 'basis:0',",
-        "             '--out', sys.argv[1]])",
+        "code = main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])",
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
         "sys.exit(code)",
     ])
     src = str(pathlib.Path(qclogic.__file__).resolve().parents[1])
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                       "MKL_NUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", child, str(target)],
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv), str(out)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, **threads, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 300 * 1024
+    return proc.returncode, int(proc.stdout or 0), proc.stderr
+
+
+def test_truth_table_default_events_at_the_register_cap(tmp_path):
+    target = tmp_path / "table.json"
+    code, peak_kib, err = _main_in_child(
+        ["truth-table", "width=10; H[0]", "--state", "basis:0"], target)
+    assert code == 0, err
+    assert peak_kib < 300 * 1024
     values = json.loads(target.read_text())["values"]
     assert len(values) == 1024
     assert values["basis:0"] == values["basis:512"] == 0.5
     assert sum(values.values()) == 1.0
+
+
+@pytest.mark.parametrize("state, count", [("basis:0", 49), ("uniform", 1)])
+def test_quotient_of_a_wide_register_stays_small(tmp_path, state, count):
+    # 2,593 words at width 6, evolved from their prefixes on a factor of the
+    # state: one column for basis:0, 64 for the maximally mixed state, which
+    # takes 82 chunks of at most 2 MiB
+    target = tmp_path / "classes.json"
+    code, peak_kib, err = _main_in_child(
+        ["quotient", "--generators", "G2", "--width", "6", "--max-len", "2",
+         "--phase", "0.7", "--phase", "2.1", "--relation", "equiv_rho",
+         "--state", state], target)
+    assert code == 0, err
+    assert json.loads(target.read_text())["count"] == count
+    assert peak_kib <= 150 * 1024
+
+
+def test_check_equiv_total_at_a_loose_tol_finds_a_witness(capsys):
+    # at tol 0.2 every candidate state's evolutions agree entrywise within
+    # tol, yet H on all seven wires is far from a phase
+    word = "width=7; H[0]; H[1]; H[2]; H[3]; H[4]; H[5]; H[6]"
+    code, payload = run_json(capsys, "check-equiv", "width=7", word, "--tol", "0.2")
+    assert code == 1 and payload["holds"] is False
+    rho, p = (qcore.matrix_from_json(payload["witness"][k]) for k in ("state", "event"))
+    u = gates.compose_word(gates.parse_word(word)).matrix
+    assert (helpers.truth_value_oracle(np.eye(128), rho, p)
+            != helpers.truth_value_oracle(u, rho, p))
 
 
 def test_truth_table_inline_event_and_table_format(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from qclogic import gates, logic, qcore
-from qclogic.errors import DimensionMismatch, ValidationFailure
+from qclogic.errors import DimensionMismatch, NonRealTrace, ValidationFailure
 from qclogic.logic import (
     EquivalenceReport,
     equiv_P,
@@ -120,6 +120,21 @@ def test_equiv_total_witness_separates_random_pairs():
             gap = abs(truth_value(u, rep.witness_state, rep.witness_event)
                       - truth_value(v, rep.witness_state, rep.witness_event))
             assert gap > 1e-8
+
+
+def test_equiv_total_separates_wide_pairs_at_a_loose_tol():
+    # at width 5 and up a pure state's evolved entries are small, so at
+    # tol = 0.2 equiv_rho often holds at every candidate state; the witness
+    # must still separate the two gates
+    gen = helpers.rng(2024)
+    for width in (5, 6, 7) * 8:
+        dim = 2 ** width
+        u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, dim)) for _ in "uv")
+        rep = equiv_total(u, v, tol=0.2)
+        assert not rep.holds
+        rho, p = rep.witness_state.matrix, rep.witness_event.matrix
+        assert (helpers.truth_value_oracle(u.matrix, rho, p)
+                != helpers.truth_value_oracle(v.matrix, rho, p))
 
 
 def test_leq_rho_P():
@@ -457,3 +472,118 @@ def test_quotient_agrees_with_the_pairwise_deciders(words, relation, state, seed
         assert all(decide(gates.compose_word(w), first) for w in cls[1:])
     for a, b in itertools.combinations(firsts, 2):
         assert not decide(a, b)
+
+
+# the word sets of the partition sweep: every partition equals the oracle's
+SWEEP = {
+    "G1 width 1 length 10": gates.enumerate_polynomials(gates.generator_set("G1"), 1, 10),
+    "G1 width 2 length 4": gates.enumerate_polynomials(gates.generator_set("G1"), 2, 4),
+    "G2 width 2 length 3": gates.enumerate_polynomials(
+        gates.generator_set("G2", phases=(0.7, 2.3)), 2, 3),
+    "G2 width 3 length 3": gates.enumerate_polynomials(
+        gates.generator_set("G2", phases=(0.7, 2.3)), 3, 3),
+    "G3 width 2 length 3": gates.enumerate_polynomials(
+        gates.generator_set("G3", phases=(0.7, 2.3)), 2, 3),
+}
+CONTEXT_KINDS = ("basis:0", "pure", "mixed", "maximally mixed")
+EXACT_KINDS = ("basis:0", "maximally mixed")
+
+
+def _context(kind: str, dim: int, gen) -> qcore.DensityOperator:
+    return qcore.DensityOperator({
+        "basis:0": lambda: helpers.basis_state(dim, 0),
+        "pure": lambda: helpers.random_pure(gen, dim),
+        "mixed": lambda: helpers.random_density(gen, dim),
+        "maximally mixed": lambda: np.eye(dim) / dim,
+    }[kind]())
+
+
+def _assert_quotient_equals_the_oracle(words, rho, p, tol, exact_keys=True):
+    # keys round the invariant to 9 digits, and the two routes compute it by
+    # different arithmetic ((UF)S(UF)* against U rho U*, about 1e-16 apart):
+    # at a context with exact entries (basis:0, maximally mixed) the keys are
+    # equal, elsewhere an entry near a rounding midpoint may move one unit
+    for relation in ("equiv_rho_P", "equiv_rho"):
+        got = quotient(words, relation, rho, p, tol)
+        want = helpers.quotient_oracle(words, relation, rho, p, tol)
+        assert got.classes == want.classes
+        if exact_keys:
+            assert got.keys == want.keys
+        else:
+            assert np.allclose(np.array(got.keys), np.array(want.keys), rtol=0, atol=1.5e-9)
+
+
+@pytest.mark.parametrize("name, kind", zip(SWEEP, ("basis:0", "pure", "mixed",
+                                                   "basis:0", "maximally mixed")))
+def test_quotient_equals_the_oracle_on_the_sweep(name, kind):
+    words = SWEEP[name]
+    dim = 2 ** words[0].width
+    gen = helpers.rng(len(words))
+    rho = _context(kind, dim, gen)
+    _assert_quotient_equals_the_oracle(
+        words, rho, qcore.Projector(helpers.random_pure(gen, dim)), 1e-9,
+        exact_keys=kind in EXACT_KINDS)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SWEEP)), st.data(), st.sampled_from(CONTEXT_KINDS),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-12, 1e-9, 1e-3, 0.3]))
+def test_quotient_equals_the_oracle_on_any_word_list(name, data, kind, seed, tol):
+    # shuffled, with repeats, and not closed under prefixes
+    words = data.draw(st.lists(st.sampled_from(SWEEP[name]), min_size=1, max_size=60))
+    dim = 2 ** words[0].width
+    gen = helpers.rng(seed)
+    rho = _context(kind, dim, gen)
+    p = qcore.Projector(helpers.random_projector(gen, dim, rank=1 + seed % dim))
+    _assert_quotient_equals_the_oracle(words, rho, p, tol, exact_keys=kind in EXACT_KINDS)
+
+
+@pytest.mark.parametrize("kind", CONTEXT_KINDS)
+def test_quotient_in_chunks_equals_the_oracle(monkeypatch, kind):
+    # seven full-rank words per chunk: chunks cut through shared prefixes
+    words = SWEEP["G1 width 2 length 4"]
+    gen = helpers.rng(17)
+    rho = _context(kind, 4, gen)
+    monkeypatch.setattr(logic, "_CHUNK_BYTES", 7 * 16 * 4 * 4)
+    _assert_quotient_equals_the_oracle(words, rho, qcore.Projector(
+        helpers.random_projector(gen, 4, rank=2)), 1e-9, exact_keys=kind in EXACT_KINDS)
+
+
+def test_quotient_keeps_a_negative_eigenvalue_and_a_skew_part():
+    # a state valid at its tolerance: one eigenvalue is -1e-7, and the
+    # off-diagonal imaginary part makes Tr(sigma P) non-real by 7e-2
+    words = SWEEP["G1 width 2 length 4"][:40]
+    negative = qcore.DensityOperator(np.diag([0.6 + 1e-7, 0.4, 0.0, -1e-7]), 1e-6)
+    _assert_quotient_equals_the_oracle(words, negative, qcore.Projector(
+        helpers.basis_state(4, 3)), 1e-9)
+    skew = np.eye(8) / 8 + 0.01j * (np.ones((8, 8)) - np.eye(8))
+    rho = qcore.DensityOperator(skew, 0.02)
+    uniform = qcore.Projector(np.ones((8, 8)) / 8)
+    words = gates.enumerate_polynomials(gates.generator_set("G1"), 3, 1)
+    part = quotient(words, "equiv_rho", rho)
+    assert part == helpers.quotient_oracle(words, "equiv_rho", rho)
+    with pytest.raises(NonRealTrace) as got:
+        quotient(words, "equiv_rho_P", rho, uniform)
+    with pytest.raises(NonRealTrace) as want:
+        helpers.quotient_oracle(words, "equiv_rho_P", rho, uniform)
+    assert str(got.value) == str(want.value) == "imaginary part 7.000e-02 exceeds 2.0e-02"
+
+
+def test_quotient_applies_each_letter_once_per_length(monkeypatch):
+    calls, built = [], []
+    kernel, check = gates._apply, qcore.UnitaryGate.__post_init__
+    monkeypatch.setattr(logic, "_apply", lambda spec, m, width: calls.append(
+        spec) or kernel(spec, m, width))
+    monkeypatch.setattr(qcore.UnitaryGate, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    words = SWEEP["G2 width 2 length 3"]
+    rho = qcore.DensityOperator(np.eye(4) / 4)
+    quotient(words, "equiv_rho", rho)
+    assert len(calls) == 3 * 8      # three lengths, eight letters
+    # any list: one call per (length, last letter) among the listed prefixes
+    picked = [words[i] for i in (300, 7, 300, 584, 12)]
+    calls.clear()
+    quotient(picked, "equiv_rho", rho)
+    assert len(calls) == len({(k, w.word[k - 1]) for w in picked
+                              for k in range(1, len(w) + 1)})
+    assert built == []              # no word is composed into a gate
