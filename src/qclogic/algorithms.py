@@ -51,6 +51,9 @@ class OracleFunction:
                 raise ValidationFailure("oracle-value", 0.0,
                                         f"{y!r} is not a {self.codomain_bits}-bit word")
             fixed[x] = y
+        if self.domain_bits > 64:   # no table is complete; the power is not formed
+            raise ValidationFailure("oracle-total", 0.0,
+                                    f"{len(fixed)} rows, need 2**{self.domain_bits}")
         if len(fixed) != 2 ** self.domain_bits:
             raise ValidationFailure("oracle-total", 0.0,
                                     f"{len(fixed)} rows, need {2 ** self.domain_bits}")

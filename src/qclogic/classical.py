@@ -132,9 +132,13 @@ def eval_circuit(circuit: BoolCircuit, bits: str) -> int:
     return go(circuit.root)
 
 
+def _word(i: int, arity: int) -> str:
+    return format(i, f"0{arity}b") if arity else ""
+
+
 def all_inputs(arity: int) -> list[str]:
     """All bitstrings of the given length in ascending order."""
-    return [format(i, f"0{arity}b") if arity else "" for i in range(2 ** arity)]
+    return [_word(i, arity) for i in range(2 ** arity)]
 
 
 def equal_functions(
@@ -252,11 +256,14 @@ class StochasticOutput:
     def __post_init__(self):
         if self.input_bits < 0 or self.output_bits < 0:
             raise ValidationFailure("register-size", 0.0, "negative width")
+        if max(self.input_bits, self.output_bits) > 64:   # before the powers are formed
+            raise SizeCapExceeded(
+                f"a table on {self.input_bits} input and {self.output_bits} output "
+                f"bits has more than 2**64 rows or entries")
         rows = {}
-        expected = set(all_inputs(self.input_bits))
         width = 2 ** self.output_bits
         for x, row in dict(self.table).items():
-            if x not in expected:
+            if not (isinstance(x, str) and len(x) == self.input_bits and set(x) <= {"0", "1"}):
                 raise UnknownInput(f"row key {x!r} is not a {self.input_bits}-bit word")
             vec = tuple(float(v) for v in row)
             if len(vec) != width:
@@ -270,10 +277,12 @@ class StochasticOutput:
             if gap > self.tolerance:
                 raise ValidationFailure("row-sum", gap, f"row {x!r}")
             rows[x] = vec
-        missing = expected - rows.keys()
+        missing = 2 ** self.input_bits - len(rows)
         if missing:
-            raise ValidationFailure(
-                "row-complete", len(missing), f"missing rows, e.g. {sorted(missing)[0]!r}")
+            # the first absent word lies among the first len(rows) + 1
+            first = next(w for w in (_word(i, self.input_bits) for i in range(len(rows) + 1))
+                         if w not in rows)
+            raise ValidationFailure("row-complete", missing, f"missing rows, e.g. {first!r}")
         object.__setattr__(self, "table", rows)
 
 
@@ -382,7 +391,7 @@ def sample_output(machine: StochasticOutput, x: str, *, rng: np.random.Generator
         raise UnknownInput(f"no row for input {x!r}")
     row = np.array(machine.table[x])
     k = int(rng.choice(len(row), p=row / row.sum()))
-    return format(k, f"0{machine.output_bits}b") if machine.output_bits else ""
+    return _word(k, machine.output_bits)
 
 
 def machine_to_json(machine: StochasticOutput) -> dict:

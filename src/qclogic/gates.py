@@ -20,7 +20,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,28 +49,8 @@ _CNOT = np.array(
      [0, 0, 1, 0]], dtype=complex)
 _TOFFOLI = np.eye(8, dtype=complex)
 _TOFFOLI[[6, 7], :] = _TOFFOLI[[7, 6], :]
-
-# name -> (wire count, takes phase parameter)
-_ARITY = {
-    "H": (1, False),
-    "T": (1, False),
-    "X": (1, False),
-    "Z": (1, False),
-    "R": (1, True),
-    "CNOT": (2, False),
-    "XX": (2, True),
-    "TOFFOLI": (3, False),
-}
-
-
-def wire_count(name: str) -> int:
-    """How many wires a named gate occupies (QFT is variadic, reported as 1)."""
-    name = name.upper()
-    if name == "QFT":
-        return 1
-    if name not in _ARITY:
-        raise UnknownGate(f"{name!r}")
-    return _ARITY[name][0]
+_T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
+_XX = np.kron(_X, _X)
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -79,6 +59,46 @@ def fourier_matrix(n: int) -> np.ndarray:
         raise ValidationFailure("fourier-size", 0.0, f"n = {n}")
     a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(2j * np.pi * a * b / n) / math.sqrt(n)
+
+
+class _Gate(NamedTuple):
+    """What the package knows of one gate name.
+
+    ``wires`` is None for QFT, which acts on any number of wires.  ``block``
+    maps the phase (None for a gate without one) and the wire count to the
+    matrix on the gate's own wires.  The first ``unordered`` wires are
+    interchangeable, so enumeration places the gate on each set of them once.
+    """
+
+    wires: int | None
+    phased: bool
+    block: Callable[[float | None, int], np.ndarray]
+    unordered: int = 1
+
+
+_GATES = {
+    "H": _Gate(1, False, lambda phi, k: _H),
+    "T": _Gate(1, False, lambda phi, k: _T),
+    "X": _Gate(1, False, lambda phi, k: _X),
+    "Z": _Gate(1, False, lambda phi, k: _Z),
+    "R": _Gate(1, True, lambda phi, k: np.diag([1.0, np.exp(1j * phi)]).astype(complex)),
+    "CNOT": _Gate(2, False, lambda phi, k: _CNOT),
+    # exp(-i phi XX/2) is symmetric in its two wires
+    "XX": _Gate(2, True, lambda phi, k: math.cos(phi / 2) * np.eye(4)
+                - 1j * math.sin(phi / 2) * _XX, unordered=2),
+    # the two controls are interchangeable
+    "TOFFOLI": _Gate(3, False, lambda phi, k: _TOFFOLI, unordered=2),
+    "QFT": _Gate(None, False, lambda phi, k: fourier_matrix(2 ** k)),
+}
+_SUPPORTED = f"{sorted(n for n, g in _GATES.items() if g.wires)} and QFT"
+
+
+def wire_count(name: str) -> int:
+    """How many wires a named gate occupies (QFT is variadic, reported as 1)."""
+    name = name.upper()
+    if name not in _GATES:
+        raise UnknownGate(f"{name!r}")
+    return _GATES[name].wires or 1
 
 
 @dataclass(frozen=True)
@@ -97,27 +117,23 @@ class GateSpec:
         name = str(self.name).upper()
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        if name == "QFT":
-            if len(self.wires) < 1:
-                raise InvalidWire("QFT needs at least one wire")
-            if self.param is not None:
-                raise ValidationFailure("gate-param", 0.0, "QFT takes no parameter")
-        elif name in _ARITY:
-            count, takes_param = _ARITY[name]
-            if len(self.wires) != count:
-                raise InvalidWire(
-                    f"{name} acts on {count} wire(s), got {self.wires}")
-            if takes_param:
-                if self.param is None:
-                    raise ValidationFailure("gate-param", 0.0, f"{name} needs a phase")
-                if not math.isfinite(self.param):
-                    raise ValidationFailure("gate-param", float("inf"),
-                                            f"{name} phase must be finite")
-                object.__setattr__(self, "param", float(self.param))
-            elif self.param is not None:
-                raise ValidationFailure("gate-param", 0.0, f"{name} takes no parameter")
-        else:
-            raise UnknownGate(f"{name!r} (supported: {sorted(_ARITY)} and QFT)")
+        if name not in _GATES:
+            raise UnknownGate(f"{name!r} (supported: {_SUPPORTED})")
+        gate = _GATES[name]
+        if gate.wires is None:
+            if not self.wires:
+                raise InvalidWire(f"{name} needs at least one wire")
+        elif len(self.wires) != gate.wires:
+            raise InvalidWire(f"{name} acts on {gate.wires} wire(s), got {self.wires}")
+        if gate.phased:
+            if self.param is None:
+                raise ValidationFailure("gate-param", 0.0, f"{name} needs a phase")
+            if not math.isfinite(self.param):
+                raise ValidationFailure("gate-param", float("inf"),
+                                        f"{name} phase must be finite")
+            object.__setattr__(self, "param", float(self.param))
+        elif self.param is not None:
+            raise ValidationFailure("gate-param", 0.0, f"{name} takes no parameter")
         if any(w < 0 for w in self.wires):
             raise InvalidWire(f"negative wire in {self.wires}")
         if len(set(self.wires)) != len(self.wires):
@@ -125,25 +141,7 @@ class GateSpec:
 
     def block(self) -> np.ndarray:
         """The gate's matrix on its own wires, as the kernel applies it."""
-        if self.name == "H":
-            return _H
-        if self.name == "T":
-            return np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
-        if self.name == "X":
-            return _X
-        if self.name == "Z":
-            return _Z
-        if self.name == "R":
-            return np.diag([1.0, np.exp(1j * self.param)]).astype(complex)
-        if self.name == "CNOT":
-            return _CNOT
-        if self.name == "XX":
-            xx = np.kron(_X, _X)
-            return math.cos(self.param / 2) * np.eye(4) - 1j * math.sin(
-                self.param / 2) * xx
-        if self.name == "TOFFOLI":
-            return _TOFFOLI
-        return fourier_matrix(2 ** len(self.wires))
+        return _GATES[self.name].block(self.param, len(self.wires))
 
 
 def register_dim(width: int) -> int:
@@ -262,10 +260,10 @@ def parse_word(text: str, *, default_width: int | None = None) -> GateWord:
                 wires = tuple(int(w) for w in m.group("wires").split(","))
             except ValueError:
                 raise ParseError(f"bad wire list in {seg!r}")
-        elif name == "QFT":
-            wires = (0,) if width is None else tuple(range(width))
-        elif name in _ARITY:
-            wires = tuple(range(_ARITY[name][0]))
+        elif name in _GATES:
+            # a bare QFT spans the register, or wire 0 before a width is given
+            count = _GATES[name].wires or (1 if width is None else width)
+            wires = tuple(range(count))
         else:
             raise UnknownGate(f"{name!r}")
         specs.append(GateSpec(name, wires, param))
@@ -309,7 +307,7 @@ class GateTemplate:
     def __post_init__(self):
         name = str(self.name).upper()
         object.__setattr__(self, "name", name)
-        if name != "QFT" and name not in _ARITY:
+        if name not in _GATES:
             raise UnknownGate(f"{name!r}")
         if self.phases is not None:
             object.__setattr__(self, "phases",
@@ -341,25 +339,22 @@ def generator_set(label: str, *, phases: Sequence[float] | None = None) -> Gener
 
 
 def _placements(name: str, width: int) -> tuple[int, Iterable[tuple[int, ...]]]:
-    """How many wire tuples a gate can occupy, and the tuples, listed lazily."""
+    """How many wire tuples a gate can occupy, and the tuples, listed lazily:
+    each set of its unordered wires once, then the rest in every order."""
+    gate = _GATES[name]
     wires = range(width)
-    if name == "QFT":
+    if gate.wires is None:
         return 1, [tuple(wires)]
-    if name == "CNOT":
-        return math.perm(width, 2), itertools.permutations(wires, 2)
-    if name == "TOFFOLI":
-        return (math.comb(width, 2) * (width - 2),
-                ((a, b, t) for a, b in itertools.combinations(wires, 2)
-                 for t in wires if t not in (a, b)))
-    # one-wire gates, and XX: exp(-i phi XX/2) is symmetric in its two
-    # wires, so each pair is listed once
-    count = _ARITY[name][0]
-    return math.comb(width, count), itertools.combinations(wires, count)
+    head, tail = gate.unordered, gate.wires - gate.unordered
+    count = math.comb(width, head) * math.perm(max(width - head, 0), tail)
+    return count, (h + t for h in itertools.combinations(wires, head)
+                   for t in itertools.permutations(
+                       [w for w in wires if w not in h], tail))
 
 
 def _params(template: GateTemplate, label: str) -> Sequence[float | None]:
     """The phases a template is instantiated with; (None,) if it takes none."""
-    if template.name == "QFT" or not _ARITY[template.name][1]:
+    if not _GATES[template.name].phased:
         return (None,)
     if template.phases is None:
         raise UnboundedParameter(f"{template.name} in {label} has no phase grid")

@@ -77,24 +77,15 @@ class EquivalenceReport:
             raise ValueError(f"unknown relation {self.relation!r}")
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "relation": self.relation,
-            "holds": self.holds,
-            "tolerance": self.tolerance,
-        }
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        if self.theta is not None:
-            out["theta"] = self.theta
-        if self.strict_equal is not None:
-            out["strict_equal"] = self.strict_equal
-        witness = {}
-        if self.witness_state is not None:
-            witness["state"] = matrix_to_json(self.witness_state.matrix)
-        if self.witness_event is not None:
-            witness["event"] = matrix_to_json(self.witness_event.matrix)
+        out: dict = {"relation": self.relation, "holds": self.holds,
+                     "tolerance": self.tolerance}
+        for key in ("lhs", "rhs", "theta", "strict_equal"):
+            val = getattr(self, key)
+            if val is not None:
+                out[key] = val
+        witness = {key: matrix_to_json(op.matrix) for key, op in
+                   (("state", self.witness_state), ("event", self.witness_event))
+                   if op is not None}
         if witness:
             out["witness"] = witness
         return out

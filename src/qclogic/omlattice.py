@@ -320,6 +320,8 @@ def boolean_oml(n_bits: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fin
     """
     if n_bits < 0:
         raise ValidationFailure("register-size", 0.0, "negative width")
+    if n_bits > 64:     # refused before the power is formed
+        raise SizeCapExceeded(f"2**{n_bits} atoms cannot be masked into an int64")
     atoms = 2 ** n_bits
     if atoms > 62:
         raise SizeCapExceeded(f"{atoms} atoms cannot be masked into an int64")
@@ -744,11 +746,11 @@ def unitary_automorphism(u: UnitaryGate, lattice: ProjectionLattice, *,
     if u.dim != lattice.dim:
         raise DimensionMismatch(f"gate dim {u.dim} vs lattice dim {lattice.dim}")
     udag = u.matrix.conj().T
+    stack = np.stack(lattice.matrices)
     mapping = np.zeros(len(lattice), dtype=np.intp)
     for i, m in enumerate(lattice.matrices):
         img = udag @ m @ u.matrix
-        hits = [j for j, e in enumerate(lattice.matrices)
-                if float(np.max(np.abs(img - e))) <= tol]
+        hits = np.flatnonzero(np.abs(img - stack).max(axis=(1, 2)) <= tol).tolist()
         if len(hits) > 1:
             raise ToleranceCollision(
                 f"conjugate of {lattice.labels[i]} matches elements {hits}")

@@ -11,7 +11,7 @@ by a family of rank-one projectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,13 +71,10 @@ def tensor(a, b) -> np.ndarray:
     return out
 
 
-def _hermit_gap(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 @dataclass(frozen=True)
-class DensityOperator:
-    """A self-adjoint, positive semidefinite, trace-one matrix."""
+class _Operator:
+    """A read-only square complex matrix and the tolerance its defining
+    invariants hold at; each operator type checks its own in ``_check``."""
 
     matrix: np.ndarray
     tolerance: float = DEFAULT_TOL
@@ -85,9 +82,23 @@ class DensityOperator:
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
         check_tol(self.tolerance)
-        gap = _hermit_gap(self.matrix)
+        self._check()
+
+    def _check_hermitian(self) -> None:
+        gap = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if gap > self.tolerance:
             raise ValidationFailure("hermitian", gap)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+class DensityOperator(_Operator):
+    """A self-adjoint, positive semidefinite, trace-one matrix."""
+
+    def _check(self) -> None:
+        self._check_hermitian()
         tgap = abs(np.trace(self.matrix) - 1.0)
         if tgap > self.tolerance:
             raise ValidationFailure("trace-one", tgap)
@@ -95,31 +106,15 @@ class DensityOperator:
         if evs[0] < -self.tolerance:
             raise ValidationFailure("positive", -evs[0])
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-
-@dataclass(frozen=True)
-class Projector:
+class Projector(_Operator):
     """A self-adjoint idempotent matrix (an event)."""
 
-    matrix: np.ndarray
-    tolerance: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
-        check_tol(self.tolerance)
-        gap = _hermit_gap(self.matrix)
-        if gap > self.tolerance:
-            raise ValidationFailure("hermitian", gap)
+    def _check(self) -> None:
+        self._check_hermitian()
         igap = float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
         if igap > self.tolerance:
             raise ValidationFailure("idempotent", igap)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def rank(self) -> int:
@@ -127,25 +122,15 @@ class Projector:
         return int(round(np.trace(self.matrix).real))
 
 
-@dataclass(frozen=True)
-class UnitaryGate:
+class UnitaryGate(_Operator):
     """A unitary matrix, UU* = U*U = identity."""
 
-    matrix: np.ndarray
-    tolerance: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
-        check_tol(self.tolerance)
-        eye = np.eye(self.matrix.shape[0])
+    def _check(self) -> None:
+        eye = np.eye(self.dim)
         gap = float(np.max(np.abs(self.matrix @ self.matrix.conj().T - eye)))
         gap = max(gap, float(np.max(np.abs(self.matrix.conj().T @ self.matrix - eye))))
         if gap > self.tolerance:
             raise ValidationFailure("unitary", gap)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def dagger(self) -> "UnitaryGate":
         return UnitaryGate(self.matrix.conj().T, self.tolerance)

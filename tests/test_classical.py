@@ -230,6 +230,17 @@ def test_machine_json_roundtrip():
         classical.machine_from_json({"M": 1})
 
 
+def test_an_incomplete_table_is_named_without_listing_every_input():
+    # 2**40 input words: the missing row is found among the rows given
+    rows = {"0" * 40: (1.0, 0.0), "0" * 39 + "1": (0.0, 1.0)}
+    with pytest.raises(ValidationFailure) as exc:
+        StochasticOutput(40, 1, rows)
+    assert str(exc.value) == ("invariant 'row-complete' violated by 1.100e+12 "
+                              f"(missing rows, e.g. {'0' * 38 + '10'!r})")
+    with pytest.raises(UnknownInput, match="row key 1 is not a 1-bit word"):
+        StochasticOutput(1, 1, {1: (1.0, 0.0)})
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_apply_reversible_agrees_with_compose_word_on_every_placement(width):
     dim = 2 ** width

@@ -156,25 +156,59 @@ def test_truth_table_default_events(capsys):
     assert payload["values"]["basis:1"] == 0.5
 
 
+def _in_child(body: list[str], *args: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a child under a 1 GiB address-space limit, BLAS on one
+    thread, with ``args`` in its ``sys.argv[1:]``."""
+    child = "\n".join(["import resource",
+                       "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+                       *body])
+    src = str(pathlib.Path(qclogic.__file__).resolve().parents[1])
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+    return subprocess.run([sys.executable, "-c", child, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, **threads, "PYTHONPATH": src})
+
+
 def _main_in_child(argv: list[str], out: pathlib.Path) -> tuple[int, int, str]:
-    """Run the CLI with ``--out`` in a child under a 1 GiB address-space
-    limit, BLAS on one thread; returns its exit code, its own peak resident
-    set in KiB (on Linux) after main returns, and its stderr."""
-    child = "\n".join([
-        "import json, resource, sys",
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+    """Run the CLI with ``--out`` in a child under :func:`_in_child`'s limits;
+    returns its exit code, its own peak resident set in KiB (on Linux) after
+    main returns, and its stderr."""
+    proc = _in_child([
+        "import json, sys",
         "from qclogic.cli import main",
         "code = main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])",
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
         "sys.exit(code)",
-    ])
-    src = str(pathlib.Path(qclogic.__file__).resolve().parents[1])
-    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                      "MKL_NUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv), str(out)],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, **threads, "PYTHONPATH": src})
+    ], json.dumps(argv), str(out))
     return proc.returncode, int(proc.stdout or 0), proc.stderr
+
+
+# at 10**11 bits the power alone would take 12.5 GB, so a child capped at
+# 1 GiB shows whether it is formed
+@pytest.mark.parametrize("argv, message", [
+    (["run-dj", '{"n": 100000000000, "m": 1, "table": {}}'],
+     "invariant 'oracle-total' violated by 0.000e+00 (0 rows, need 2**100000000000)"),
+    (["lattice-verify", "--builtin", "boolean:100000000000"],
+     "2**100000000000 atoms cannot be masked into an int64"),
+])
+def test_widths_past_64_bits_are_refused_before_the_power(tmp_path, argv, message):
+    code, _, err = _main_in_child(argv, tmp_path / "out.json")
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_a_machine_past_64_input_bits_is_refused_before_the_power():
+    proc = _in_child([
+        "from qclogic import classical",
+        "from qclogic.errors import SizeCapExceeded",
+        "try:",
+        "    classical.machine_from_json({'M': 100000000000, 'N': 1, 'rows': {}})",
+        "except SizeCapExceeded as exc:",
+        "    print(exc)",
+    ])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("a table on 100000000000 input and 1 output bits has "
+                           "more than 2**64 rows or entries\n")
 
 
 def test_truth_table_default_events_at_the_register_cap(tmp_path):

@@ -230,6 +230,12 @@ def test_format_word_roundtrip():
     assert gates.parse_word(gates.format_word(word)) == word
 
 
+@settings(max_examples=300, deadline=None)
+@given(gate_words())
+def test_format_word_roundtrip_on_every_gate(word):
+    assert gates.parse_word(gates.format_word(word)) == word
+
+
 def test_enumerate_g1_counts_and_order():
     g1 = gates.generator_set("G1")
     words = gates.enumerate_polynomials(g1, 1, 1)

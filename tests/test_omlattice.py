@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qclogic import logic, omlattice, qcore
+from qclogic import gates, logic, omlattice, qcore
 from qclogic.errors import (
     ClosureCapExceeded,
     DimensionMismatch,
@@ -826,6 +826,33 @@ def test_unitary_automorphism_requires_closure():
         unitary_automorphism(qcore.UnitaryGate(np.eye(4)), lat)
     with pytest.raises(LatticeMismatch):
         unitary_automorphism(qcore.UnitaryGate(np.eye(2)), mo2_oml())
+
+
+def _automorphism_by_scan(u, lattice, tol):
+    """The mapping found by comparing each conjugate with every element."""
+    mapping = []
+    for i, m in enumerate(lattice.matrices):
+        img = u.conj().T @ m @ u
+        hits = [j for j, e in enumerate(lattice.matrices)
+                if float(np.max(np.abs(img - e))) <= tol]
+        if len(hits) != 1:
+            return f"conjugate of {lattice.labels[i]} matches elements {hits}"
+        mapping.append(hits[0])
+    return mapping
+
+
+def test_unitary_automorphism_equals_the_scan():
+    basis = [qcore.Projector(np.diag(np.eye(5)[k])) for k in range(5)]
+    lat = projection_oml(5, basis)
+    perm = gates.permutation_gate([3, 0, 4, 1, 2])
+    auto = unitary_automorphism(perm, lat)
+    assert auto.mapping.tolist() == _automorphism_by_scan(perm.matrix, lat, 1e-9)
+    assert sorted(auto.mapping.tolist()) == list(range(32))
+    # at tol 2 every element is within tol of every conjugate
+    want = _automorphism_by_scan(helpers.PAULI_X, quantum_mo2(), 2.0)
+    with pytest.raises(ToleranceCollision) as err:
+        unitary_automorphism(qcore.UnitaryGate(helpers.PAULI_X), quantum_mo2(), tol=2.0)
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import helpers
 from qclogic import gates, logic, qcore
@@ -323,3 +328,12 @@ def test_matrix_json_roundtrip():
     assert np.max(np.abs(back - m)) == 0.0
     with pytest.raises(ValidationFailure):
         qcore.matrix_from_json({"dim": 2, "re": [1.0], "im": []})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: arrays(
+    complex, (d, d), elements=st.complex_numbers(allow_nan=False, allow_infinity=False))))
+def test_matrix_json_roundtrip_through_text(m):
+    back = qcore.matrix_from_json(json.loads(json.dumps(qcore.matrix_to_json(m))))
+    # bit for bit, up to the sign of a zero: re + 1j * im does not keep it
+    assert (back + 0.0).tobytes() == (m + 0.0).tobytes()
