@@ -78,7 +78,7 @@ def oracle_from_json(obj: dict) -> OracleFunction:
     """Parse ``{"n": ..., "m": ..., "table": {...}}``."""
     try:
         return OracleFunction(int(obj["n"]), int(obj["m"]), dict(obj["table"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad oracle payload: {exc}")
 
 
@@ -202,7 +202,7 @@ def periodic_from_json(obj: dict) -> PeriodicSpec:
     """Parse ``{"N": ..., "r": ..., "f": [...]}``."""
     try:
         return PeriodicSpec(int(obj["N"]), int(obj["r"]), tuple(obj["f"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad periodic spec payload: {exc}")
 
 

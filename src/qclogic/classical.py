@@ -407,5 +407,5 @@ def machine_from_json(obj: dict) -> StochasticOutput:
     """Inverse of :func:`machine_to_json`; constructor revalidates."""
     try:
         return StochasticOutput(int(obj["M"]), int(obj["N"]), dict(obj["rows"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad stochastic table payload: {exc}")

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import algorithms, classical, gates, logic, omlattice, qcore
-from .errors import QclError, ValidationFailure
+from .errors import ParseError, QclError, ValidationFailure
 
 
 def _round_floats(x):
@@ -62,10 +62,13 @@ def _emit(obj: dict, args) -> None:
 
 def _load_json_payload(token: str):
     token = token.strip()
-    if token.startswith("{"):
-        return json.loads(token)
-    with open(token) as fh:
-        return json.load(fh)
+    try:
+        if token.startswith("{"):
+            return json.loads(token)
+        with open(token) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ParseError("JSON payload nested too deeply")
 
 
 def _basis_index(token: str, dim: int) -> int:

@@ -57,6 +57,7 @@ def fourier_matrix(n: int) -> np.ndarray:
     """The n x n Fourier matrix with entries e^{2 pi i a b / n} / sqrt n."""
     if n < 1:
         raise ValidationFailure("fourier-size", 0.0, f"n = {n}")
+    check_dim(n)
     a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(2j * np.pi * a * b / n) / math.sqrt(n)
 

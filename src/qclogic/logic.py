@@ -101,6 +101,16 @@ def _rank_one(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _witness(diff: np.ndarray, *, most_negative: bool = False) -> np.ndarray:
+    """|w><w| for the unit eigenvector w of diff's Hermitian part whose
+    eigenvalue is largest in magnitude (ties toward the positive end), or
+    most negative: the event or state on which two invariants differ most."""
+    evals, evecs = np.linalg.eigh((diff + diff.conj().T) / 2)
+    top = not most_negative and abs(evals[-1]) >= abs(evals[0])
+    w = evecs[:, -1 if top else 0]
+    return _rank_one(w / np.linalg.norm(w))
+
+
 def _invariant(u: UnitaryGate, rho: DensityOperator | None,
                p: Projector | None):
     """What a context sees of U: the truth value at (rho, p), U rho U* at
@@ -120,9 +130,8 @@ def _decide(relation: str, u: UnitaryGate, v: UnitaryGate,
 
     Evolved states or events are equal when every entry agrees within
     ``tol``, and ordered when V's minus U's is positive semidefinite within
-    ``tol``.  A failing comparison is witnessed by the eigenvector of the
-    difference whose eigenvalue is largest in magnitude (equality) or most
-    negative (order): an event at a fixed state, a state at a fixed event.
+    ``tol``.  A failing comparison is witnessed by :func:`_witness` of the
+    difference: an event at a fixed state, a state at a fixed event.
     """
     _check_context(tol, *(op.dim for op in (u, v, rho, p) if op is not None))
     equal = relation.startswith("equiv")
@@ -139,10 +148,7 @@ def _decide(relation: str, u: UnitaryGate, v: UnitaryGate,
         holds = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -tol
     if holds:
         return EquivalenceReport(relation, True, tol)
-    evals, evecs = np.linalg.eigh((diff + diff.conj().T) / 2)
-    top = equal and abs(evals[-1]) >= abs(evals[0])
-    w = evecs[:, len(evals) - 1 if top else 0]
-    w = _rank_one(w / np.linalg.norm(w))
+    w = _witness(diff, most_negative=not equal)
     if p is None:
         return EquivalenceReport(relation, False, tol, witness_event=Projector(w))
     return EquivalenceReport(relation, False, tol, witness_state=DensityOperator(w))
@@ -182,8 +188,8 @@ def equiv_total(u: UnitaryGate, v: UnitaryGate,
     That holds exactly when V* U is a global phase e^{i theta} times the
     identity; truth values cannot see theta.  The report carries theta
     (from the first nonzero diagonal entry) plus a strict flag for literal
-    matrix equality.  On failure a separating (state, event) pair is
-    attached.
+    matrix equality.  On failure the (state, event) pair that separates U
+    and V most is attached (:func:`_separating_context`).
     """
     _check_context(tol, u.dim, v.dim)
     m = v.matrix.conj().T @ u.matrix
@@ -195,56 +201,48 @@ def equiv_total(u: UnitaryGate, v: UnitaryGate,
     if gap <= tol:
         return EquivalenceReport("equiv_total", True, tol,
                                  theta=theta, strict_equal=strict)
-    rho, p = _separating_context(u, v, m, tol)
+    rho, p = _separating_context(u, v, m)
     return EquivalenceReport("equiv_total", False, tol, theta=theta,
                              strict_equal=strict, witness_state=rho,
                              witness_event=p)
 
 
-def _separating_context(u: UnitaryGate, v: UnitaryGate, m: np.ndarray,
-                        tol: float) -> tuple[DensityOperator, Projector]:
-    """A (state, event) pair on which u and v disagree, given m = V*U not
-    scalar.
+def _separating_context(u: UnitaryGate, v: UnitaryGate,
+                        m: np.ndarray) -> tuple[DensityOperator, Projector]:
+    """The (state, event) pair that separates U and V most, given m = V*U.
 
-    A superposition of two eigenvectors of m with distinct eigenphases is
-    moved differently by U and V; the separating event then comes from
-    :func:`equiv_rho`.  A seeded random search backs this up in case of
-    eigensolver ties.  The search stops at the first candidate whose
-    truth values differ by more than 10 tol, or keeps the one where they
-    differ most.  Candidates are not screened by ``equiv_rho`` at ``tol``:
-    at a loose ``tol`` the evolved states of a wide register can agree
-    entrywise within ``tol`` (their entries shrink as the dimension grows)
-    while a truth value still tells U and V apart.
+    At a pure state psi, U psi and V psi lie sqrt(1 - |<psi|m|psi>|^2)
+    apart, and <psi|m|psi> ranges over the convex hull of m's eigenvalues.
+    psi superposes eigenvectors of at most three distinct eigenvalues,
+    weighted to the point of the hull nearest 0, at distance r.  If every
+    eigenphase fits in an arc of at most pi, that is the midpoint of the
+    arc's ends; otherwise it is 0, inside the triangle of an eigenvalue,
+    the last one less than pi after it and the first one at least pi after
+    it.  The event from :func:`_witness` separates the two truth values by
+    sqrt(1 - r^2), the most any context can.
     """
     evals, evecs = np.linalg.eig(m)
     order = np.argsort(np.angle(evals))
-    candidates = []
-    lo, hi = order[0], order[-1]
-    if abs(evals[lo] - evals[hi]) > tol:
-        w = evecs[:, lo] + evecs[:, hi]
-        candidates.append(w / np.linalg.norm(w))
-    rng = np.random.default_rng(7)
-    for _ in range(32):
-        w = rng.standard_normal(u.dim) + 1j * rng.standard_normal(u.dim)
-        candidates.append(w / np.linalg.norm(w))
-    best: tuple[float, DensityOperator, Projector] | None = None
-    for w in candidates:
-        rho = DensityOperator(_rank_one(w))
-        # at tolerance 0 every candidate that moves at all gets a witness,
-        # the same one equiv_rho gives at tol when it fails there
-        rep = equiv_rho(u, v, rho, 0.0)
-        if rep.holds:
-            continue
-        p = rep.witness_event
-        sep = abs(truth_value(u, rho, p) - truth_value(v, rho, p))
-        if best is None or sep > best[0]:
-            best = (sep, rho, p)
-        if sep > 10 * tol:
-            break
-    if best is None or best[0] == 0:
-        raise HierarchyViolation(
-            "equiv_total failed but no separating context was found")
-    return best[1], best[2]
+    # one index per distinct eigenvalue, by phase: the eigensolver spreads a
+    # repeated eigenvalue of a 1024 x 1024 unitary over about 3e-14, and
+    # np.angle may put one eigenvalue at both -pi and pi
+    repeat = np.abs(evals[order] - evals[np.roll(order, 1)]) <= 1e-11
+    idx = order[~repeat] if not repeat.all() else order[:1]
+    # phases after the first, in [0, 2 pi), and the gaps between neighbours
+    after = np.angle(evals[idx]) - np.angle(evals[idx[0]])
+    gaps = np.diff(after, append=2 * np.pi)
+    j = int(np.argmax(gaps))
+    if gaps[j] >= np.pi:
+        pick, weights = [idx[j], idx[(j + 1) % len(idx)]], [0.5, 0.5]
+    else:
+        b = int(np.flatnonzero(after < np.pi)[-1])
+        sb, sc = after[b], after[b + 1]
+        pick = [idx[0], idx[b], idx[b + 1]]
+        weights = np.maximum([np.sin(sc - sb), -np.sin(sc), np.sin(sb)], 0.0)
+    psi = evecs[:, pick] @ np.sqrt(weights)
+    psi = psi / np.linalg.norm(psi)
+    moved = _rank_one(u.matrix @ psi) - _rank_one(v.matrix @ psi)
+    return DensityOperator(_rank_one(psi)), Projector(_witness(moved))
 
 
 def leq_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,

@@ -53,7 +53,7 @@ def as_square_matrix(data, *, max_dim: int = MAX_DIM) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationFailure("square", 0.0, f"shape {m.shape}")
     check_dim(m.shape[0], max_dim=max_dim)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValidationFailure("finite", float("inf"))
     m.setflags(write=False)
     return m
@@ -379,7 +379,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         re = obj["re"]
     except (KeyError, TypeError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"missing field: {exc}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"bad dim: {exc}")
     check_dim(dim)
     im = obj["im"] if "im" in obj else [0.0] * (dim * dim)
@@ -392,6 +392,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         m = np.array(re, dtype=float).reshape(dim, dim) + 1j * np.array(
             im, dtype=float).reshape(dim, dim)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"entries must be numbers: {exc}")
     return as_square_matrix(m)

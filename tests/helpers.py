@@ -9,6 +9,8 @@ is the per-word route that the prefix-shared ``quotient`` must reproduce.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from qclogic import logic
@@ -71,6 +73,24 @@ SKEWED_UNIFORM = np.eye(4) / 4 + 1j * (0.9e-9 / 4) * np.ones((4, 4))
 def truth_value_oracle(u: np.ndarray, rho: np.ndarray, p: np.ndarray) -> float:
     """Tr(U rho U* P) by direct numpy, no package code."""
     return float(np.trace(u @ rho @ u.conj().T @ p).real)
+
+
+def hull_distance(points) -> float:
+    """Distance from 0 to the convex hull of the complex ``points``, by brute
+    force over the distinct points: the nearest point of every segment, and
+    0 when some triangle holds 0 (on its edge included)."""
+    pts = list({complex(round(z.real, 12), round(z.imag, 12)): z
+                for z in np.asarray(points, dtype=complex)}.values())
+    best = min(abs(z) for z in pts)
+    for a, b in itertools.combinations(pts, 2):
+        t = min(1.0, max(0.0, (-a * (b - a).conjugate()).real / abs(b - a) ** 2))
+        best = min(best, abs(a + t * (b - a)))
+    cross = lambda p, q: (p.conjugate() * q).imag
+    for a, b, c in itertools.combinations(pts, 3):
+        sides = (cross(a, b), cross(b, c), cross(c, a))
+        if min(sides) >= 0 or max(sides) <= 0:
+            return 0.0
+    return best
 
 
 # The six context deciders, each written out on its own with its own

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,12 +10,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import qclogic
 from qclogic import algorithms, classical, gates, qcore
 from qclogic.cli import main
 from qclogic.errors import ParseError, ValidationFailure
+from qclogic.omlattice import boolean_oml, lattice_to_json
 
 
 def run_cli(capsys, *argv):
@@ -37,12 +42,15 @@ def test_check_equiv_total_holds(capsys):
 
 
 def test_check_equiv_total_fails_with_witness(capsys):
-    code, payload = run_json(capsys, "check-equiv", "H", "Z")
+    first = run_cli(capsys, "check-equiv", "H", "Z")
+    code, payload = first[0], json.loads(first[1])
     assert code == 1
     assert payload["holds"] is False
     assert set(payload["witness"]) == {"state", "event"}
     state = qcore.matrix_from_json(payload["witness"]["state"])
     assert abs(np.trace(state) - 1.0) < 1e-9
+    # the witness is deterministic: a second call prints the same bytes
+    assert run_cli(capsys, "check-equiv", "H", "Z") == first
 
 
 def test_check_equiv_rho_relation(capsys):
@@ -403,6 +411,119 @@ def test_json_readers_refuse_bad_values_with_their_own_error(reader, payload):
     else:
         with pytest.raises(ParseError):
             reader(payload)
+
+
+# 1e400 reads as infinity, which int() cannot take
+@pytest.mark.parametrize("argv", [
+    ["run-dj", '{"n": 1e400, "m": 1, "table": {}}'],
+    ["run-period", '{"N": 1e400, "r": 1, "f": [0]}'],
+    ["run-period", '{"N": 2, "r": 1, "f": [1e400, 1e400]}'],
+    ["check-equiv", "width=1", "width=1", "--relation", "equiv_rho",
+     "--state", '{"dim": 1e400, "re": []}'],
+    ["check-equiv", "width=1", "width=1", "--relation", "equiv_rho",
+     "--state", '{"dim": 1, "re": [1' + "0" * 400 + ']}'],
+    ["run-dj", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+])
+def test_overflowing_or_deeply_nested_json_is_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_machine_with_an_infinite_width_is_a_parse_error():
+    with pytest.raises(ParseError):
+        classical.machine_from_json({"M": 1e400, "N": 1, "rows": {}})
+
+
+def test_a_fourier_matrix_past_the_cap_is_refused_before_it_is_formed(tmp_path):
+    # at N = 20000 the matrix alone takes 6.4 GB
+    spec = json.dumps({"N": 20000, "r": 1, "f": [0] * 20000})
+    code, _, err = _main_in_child(["run-period", spec], tmp_path / "out.json")
+    assert (code, err) == (2, "error: dimension 20000 exceeds cap 1024\n")
+
+
+# every verb that reads JSON: a valid payload and where it goes in argv
+_PAYLOADS = {
+    "run-dj": ({"n": 1, "m": 1, "table": {"0": "0", "1": "1"}},
+               lambda t: ["run-dj", t]),
+    "run-period": ({"N": 4, "r": 2, "f": [5, 6, 5, 6]},
+                   lambda t: ["run-period", t, "--samples", "2"]),
+    "lattice-verify": (lattice_to_json(boolean_oml(1)),
+                       lambda t: ["lattice-verify", t]),
+    "check-equiv": ({"dim": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+                    lambda t: ["check-equiv", "H", "Z", "--relation", "equiv_P",
+                               "--event", t]),
+    "truth-table": ({"dim": 2, "re": [1, 0, 0, 0]},
+                    lambda t: ["truth-table", "H", "--state", t, "--event", t]),
+    "quotient": ({"dim": 2, "re": [0.5, 0.5, 0.5, 0.5]},
+                 lambda t: ["quotient", "--generators", "G1", "--max-len", "1",
+                            "--state", t, "--event", t]),
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _payload_argv(draw):
+    """A verb's argv with an arbitrary JSON object, or with its valid
+    payload with one field replaced, added or removed."""
+    base, argv = _PAYLOADS[draw(st.sampled_from(sorted(_PAYLOADS)))]
+    if draw(st.booleans()):
+        payload = draw(st.dictionaries(st.text(max_size=4), _JSON, max_size=4))
+    else:
+        payload = dict(base)
+        key = draw(st.sampled_from(sorted(payload) + ["extra"]))
+        if draw(st.booleans()):
+            payload[key] = draw(_JSON)
+        else:
+            payload.pop(key, None)
+    return argv(json.dumps(payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payload_argv())
+@example(["run-dj", '{"n": 1e400, "m": 1, "table": {}}'])
+@example(["run-period", '{"N": 1e400, "r": 1, "f": [0]}'])
+@example(["run-period", '{"N": 2, "r": 1, "f": [1e400, 1e400]}'])
+@example(["check-equiv", "width=1", "width=1", "--relation", "equiv_rho",
+          "--state", '{"dim": 1e400, "re": []}'])
+@example(["run-dj", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"])
+def test_every_verb_exits_0_1_or_2_on_any_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
+
+
+def test_every_verb_runs_on_numpy_alone():
+    # numpy is the only runtime dependency: with scipy and hypothesis made
+    # unimportable, each verb still runs, a failing equiv_total included
+    argvs = [["check-equiv", "H", "Z"],
+             ["check-equiv", "H", "X", "--relation", "equiv_rho", "--state", "basis:0"],
+             ["truth-table", "H", "--state", "basis:0"],
+             ["quotient", "--generators", "G1", "--max-len", "2", "--state", "basis:0",
+              "--event", "basis:0"],
+             ["run-dj", json.dumps(_PAYLOADS["run-dj"][0])],
+             ["run-period", json.dumps(_PAYLOADS["run-period"][0])],
+             ["lattice-verify", "--builtin", "mo2"],
+             ["boolean-recover", "--bits", "1"]]
+    proc = _in_child([
+        "import contextlib, io, json, sys",
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None",
+        "from qclogic.cli import main",
+        "codes = []",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        codes.append(main(argv))",
+        "print(codes)",
+    ], json.dumps(argvs))
+    assert (proc.stdout, proc.stderr) == ("[1, 1, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_boolean_recover(capsys):

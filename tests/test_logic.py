@@ -101,11 +101,12 @@ def test_equiv_total_recovers_global_phase():
 def test_equiv_total_failure_gives_separating_context():
     rep = equiv_total(EYE, ZGATE)
     assert not rep.holds
-    # the eigenphase superposition of Z lands on |+><+| for both halves
+    # Z's eigenphases 0 and pi span an arc of exactly pi: the two ends with
+    # weights 1/2 give |+><+|, which Z moves to the orthogonal |-><-|
     assert np.max(np.abs(rep.witness_state.matrix - helpers.KET_PLUS)) < 1e-9
     gap = abs(truth_value(EYE, rep.witness_state, rep.witness_event)
               - truth_value(ZGATE, rep.witness_state, rep.witness_event))
-    assert gap > 0.5
+    assert gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equiv_total_witness_separates_random_pairs():
@@ -135,6 +136,67 @@ def test_equiv_total_separates_wide_pairs_at_a_loose_tol():
         rho, p = rep.witness_state.matrix, rep.witness_event.matrix
         assert (helpers.truth_value_oracle(u.matrix, rho, p)
                 != helpers.truth_value_oracle(v.matrix, rho, p))
+
+
+def _witness_separation(u: np.ndarray, v: np.ndarray) -> float:
+    rep = equiv_total(qcore.UnitaryGate(u), qcore.UnitaryGate(v))
+    assert not rep.holds
+    rho, p = rep.witness_state.matrix, rep.witness_event.matrix
+    return abs(helpers.truth_value_oracle(u, rho, p) - helpers.truth_value_oracle(v, rho, p))
+
+
+def _phase_family(kind: str, dim: int, gen: np.random.Generator) -> np.ndarray:
+    """Eigenphases of V*U: phases that straddle +-pi within an arc of width
+    up to 2pi, or a few phases repeated, with antipodal pairs and one
+    eigenvalue written both as -pi and as pi."""
+    if kind == "straddle":
+        width = gen.uniform(1e-3, 2 * np.pi)
+        phases = np.pi + gen.uniform(-width / 2, width / 2, dim)
+        phases[:2] = np.pi - width / 2, np.pi + width / 2
+        return phases
+    theta, other = gen.uniform(-np.pi, np.pi, 2)
+    palette = np.array([np.pi, -np.pi, theta, theta + np.pi, other])
+    return palette[gen.integers(0, len(palette), dim)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 16), st.sampled_from(["random", "straddle", "degenerate"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_equiv_total_witness_reaches_the_hull_bound(dim, kind, seed):
+    # at a pure state U psi and V psi lie sqrt(1 - |<psi|V*U|psi>|^2) apart,
+    # and <psi|V*U|psi> ranges over the convex hull of V*U's eigenvalues, so
+    # no context separates by more than sqrt(1 - r^2), r the hull's distance
+    # from 0; the witness must reach it
+    gen = helpers.rng(seed)
+    v = helpers.random_unitary(gen, dim)
+    if kind == "random":
+        u = helpers.random_unitary(gen, dim)
+        evals = np.linalg.eigvals(v.conj().T @ u)
+    else:
+        evals = np.exp(1j * _phase_family(kind, dim, gen))
+        if np.allclose(evals, evals[0]):
+            return
+        w = helpers.random_unitary(gen, dim)
+        u = v @ (w * evals) @ w.conj().T
+    r = helpers.hull_distance(evals)
+    assert _witness_separation(u, v) == pytest.approx(math.sqrt(1 - r * r), abs=1e-9)
+
+
+def test_equiv_total_witness_across_pi_and_with_repeated_eigenvalues():
+    # phases -3.1 and 3.1 straddle +-pi: no arc shorter than pi holds the
+    # spectrum, so 0 is in the hull and the witness separates fully
+    u = np.diag(np.exp(1j * np.array([-3.1, 0.0, 3.1, 0.0])))
+    assert _witness_separation(u, np.eye(4)) >= 0.999
+    # -1 written as both -pi and pi is one eigenvalue, and each eigenvalue
+    # is repeated: one eigenvector per distinct eigenvalue
+    gen = helpers.rng(12)
+    w = helpers.random_unitary(gen, 12)
+    phases = np.array([np.pi, -np.pi, -2.0, 0.0, 0.5] * 3)[:12]
+    u = (w * np.exp(1j * phases)) @ w.conj().T
+    assert _witness_separation(u, np.eye(12)) == pytest.approx(1.0, abs=1e-9)
+    # a spectrum in an arc shorter than pi: the arc's ends, r = cos(arc / 2)
+    u = np.diag(np.exp(1j * np.array([0.2, 0.2, 1.0, 1.4])))
+    assert _witness_separation(u, np.eye(4)) == pytest.approx(math.sin(0.6), abs=1e-12)
 
 
 def test_leq_rho_P():

@@ -86,6 +86,29 @@ def test_operators_refuse_a_negative_or_nan_tolerance(kind, tol):
     assert exc.value.invariant == "tolerance"
 
 
+@pytest.mark.parametrize("name", sorted(gates._GATES))
+def test_dagger_of_every_gate_block(name):
+    # the conjugate transpose is not contiguous in its last axis
+    table = gates._GATES[name]
+    spec = gates.GateSpec(name, tuple(range(table.wires or 2)),
+                          0.7 if table.phased else None)
+    gate = qcore.UnitaryGate(spec.block())
+    assert np.array_equal(gate.dagger().matrix, spec.block().conj().T)
+    assert np.allclose(gate.dagger().matrix @ gate.matrix, np.eye(gate.dim))
+
+
+def test_operators_accept_any_memory_order():
+    rho = helpers.random_density(helpers.rng(41), 3)
+    assert np.array_equal(qcore.DensityOperator(rho.T).matrix, rho.T)
+    fortran = np.asfortranarray(helpers.HADAMARD)
+    assert np.array_equal(qcore.UnitaryGate(fortran).matrix, helpers.HADAMARD)
+    bad = rho.copy()
+    bad[0, 2] = np.nan
+    with pytest.raises(ValidationFailure) as exc:
+        qcore.DensityOperator(bad.T)
+    assert exc.value.invariant == "finite"
+
+
 def test_validate_dispatch():
     out = qcore.validate(np.eye(2) / 2, "density")
     assert isinstance(out, qcore.DensityOperator)
