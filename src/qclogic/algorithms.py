@@ -1,10 +1,10 @@
 """Exact runs of two oracle algorithms.
 
-Everything here is computed by dense linear algebra, so the returned
-distributions are exact up to floating point: the single-query constancy
-test on one-bit functions, and period estimation for an r-periodic function
-on Z_N (N a power of two times nothing special, any N with r | N works).
-No shots are simulated unless a sampling step is explicitly requested.
+Both run on state vectors, so the distributions are exact up to floating
+point: the one-query constancy test on one-bit functions goes through the
+gate kernel, and period estimation for an r-periodic function on Z_N (any
+N with r | N, up to the dimension cap) takes one FFT per branch.  No shots
+are simulated unless a sampling step is explicitly requested.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .errors import (
     ValidationFailure,
     WidthMismatch,
 )
-from .gates import GateSpec, elementary, fourier_matrix, permutation_gate
-from .qcore import Projector, UnitaryGate, _evolve, _pairing, tensor
+from .gates import GateSpec, _apply, fourier_matrix, permutation_gate
+from .qcore import DEFAULT_TOL, UnitaryGate, _probability, check_dim
 
 # the most draws period_find takes in one run
 MAX_SAMPLES = 10 ** 6
@@ -93,10 +93,14 @@ def build_oracle(f: OracleFunction) -> UnitaryGate:
     The input register comes first (leftmost wires), then the ancilla; the
     matrix is the permutation of basis states this rule describes.
     """
+    return permutation_gate(_oracle_permutation(f))
+
+
+def _oracle_permutation(f: OracleFunction) -> list[int]:
+    """Where |x>|y> goes under the lift: index x * 2**m + (y xor f(x))."""
     n, m = f.domain_bits, f.codomain_bits
     fx = [int(f(format(x, f"0{n}b") if n else ""), 2) for x in range(2 ** n)]
-    return permutation_gate([x * 2 ** m + (y ^ fx[x])
-                             for x in range(2 ** n) for y in range(2 ** m)])
+    return [x * 2 ** m + (y ^ fx[x]) for x in range(2 ** n) for y in range(2 ** m)]
 
 
 @dataclass(frozen=True)
@@ -141,16 +145,14 @@ def deutsch_jozsa(f: OracleFunction) -> RunResult:
     if f.domain_bits != 1 or f.codomain_bits != 1:
         raise WidthMismatch(
             f"this test takes a 1-bit function, got {f.domain_bits}->{f.codomain_bits}")
-    ket01 = np.zeros((4, 4), dtype=complex)
-    ket01[1, 1] = 1.0
-    h0 = elementary(GateSpec("H", (0,)), 2).matrix
-    h1 = elementary(GateSpec("H", (1,)), 2).matrix
-    total = UnitaryGate(h0 @ build_oracle(f).matrix @ (h0 @ h1))
-    final = _evolve(total, ket01)
-    proj0 = Projector(tensor(np.diag([1.0, 0.0]), np.eye(2)))
-    proj1 = Projector(tensor(np.diag([0.0, 1.0]), np.eye(2)))
-    p0 = _pairing(final, proj0, total.tolerance)
-    p1 = _pairing(final, proj1, total.tolerance)
+    state = np.zeros((4, 1), dtype=complex)
+    state[1] = 1.0                                  # |0>|1>
+    for wire in (0, 1):
+        state = _apply(GateSpec("H", (wire,)), state, 2)
+    # the oracle permutes basis states, and the permutation is its own inverse
+    final = _apply(GateSpec("H", (0,)), state[_oracle_permutation(f)], 2)
+    p0, p1 = (_probability(complex(np.vdot(half, half)), DEFAULT_TOL)
+              for half in (final[:2], final[2:]))
     constant = p0 >= 0.5
     truly_constant = f("0") == f("1")
     success = p0 if truly_constant else p1
@@ -206,20 +208,14 @@ def periodic_from_json(obj: dict) -> PeriodicSpec:
         raise ParseError(f"bad periodic spec payload: {exc}")
 
 
-def _conditional_vectors(spec: PeriodicSpec) -> dict[int, np.ndarray]:
-    """First-register states conditioned on each second-register value.
-
-    Keyed by the function value; each vector is the normalized uniform
-    superposition of the K = N / r inputs sharing that value.
-    """
-    n, r = spec.modulus, spec.period
-    k = n // r
-    out: dict[int, np.ndarray] = {}
-    for x0 in range(r):
-        v = np.zeros(n, dtype=complex)
-        v[x0::r] = 1.0 / math.sqrt(k)
-        out[spec.values[x0]] = v
-    return out
+def _branch_distributions(spec: PeriodicSpec) -> np.ndarray:
+    """Row x0 is the Fourier-sampling distribution of the branch where the
+    second register reads f(x0): the uniform superposition of the N / r
+    inputs x0, x0 + r, ..., pushed through F_ab = e^{2 pi i a b / N} / sqrt N.
+    Since F v = sqrt N * ifft(v), one FFT per row gives it exactly."""
+    n, r = check_dim(spec.modulus), spec.period
+    branches = (np.arange(n) % r == np.arange(r)[:, None]) / math.sqrt(n / r)
+    return n * np.abs(np.fft.ifft(branches, axis=1)) ** 2
 
 
 def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
@@ -241,18 +237,14 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
     if samples > MAX_SAMPLES:
         raise SizeCapExceeded(f"{samples} samples exceeds cap {MAX_SAMPLES}")
     n, r = spec.modulus, spec.period
-    branches = _conditional_vectors(spec)
-    fmat = fourier_matrix(n)
+    dists = _branch_distributions(spec)
     if condition_on is not None:
-        if condition_on not in branches:
+        if condition_on not in spec.values[:r]:
             raise UnknownOutcome(
                 f"{condition_on} is not a value of the function")
-        probs = np.abs(fmat @ branches[condition_on]) ** 2
+        probs = dists[spec.values.index(condition_on)]
     else:
-        probs = np.zeros(n)
-        for v in branches.values():
-            probs += np.abs(fmat @ v) ** 2 / r
-    probs = np.maximum(probs, 0.0)
+        probs = dists.sum(axis=0) / r
     probs /= probs.sum()
 
     rng = np.random.default_rng(seed)
@@ -266,19 +258,15 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
 
 def period_branches(spec: PeriodicSpec) -> dict[int, dict[str, float]]:
     """Per-observed-value outcome distributions, for inspecting invariance."""
-    fmat = fourier_matrix(spec.modulus)
-    return {
-        value: {str(c): float(p) for c, p in
-                enumerate(np.abs(fmat @ vec) ** 2)}
-        for value, vec in _conditional_vectors(spec).items()
-    }
+    return {value: {str(c): float(p) for c, p in enumerate(row)}
+            for value, row in zip(spec.values[:spec.period], _branch_distributions(spec))}
 
 
 def success_probability(result: RunResult, success_outcomes: Sequence[str]) -> float:
-    """Total probability of the listed outcomes in a run's distribution."""
-    total = 0.0
-    for label in success_outcomes:
+    """Total probability of the listed outcomes in a run's distribution;
+    a label listed twice counts once."""
+    labels = dict.fromkeys(success_outcomes)
+    for label in labels:
         if label not in result.outcome_distribution:
             raise UnknownOutcome(f"outcome {label!r} not in distribution")
-        total += result.outcome_distribution[label]
-    return min(1.0, total)
+    return min(1.0, sum(result.outcome_distribution[label] for label in labels))

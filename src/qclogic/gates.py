@@ -34,8 +34,8 @@ from .errors import (
     UnknownGate,
     ValidationFailure,
 )
-from .qcore import (MAX_DIM, DensityOperator, Projector, UnitaryGate, _evolve,
-                    _pairing, check_dim, tensor)
+from .qcore import (DEFAULT_TOL, MAX_DIM, DensityOperator, UnitaryGate,
+                    _probability, check_dim)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -414,9 +414,10 @@ def toffoli_truth_value(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.dim != 2 or sigma.dim != 2:
         raise DimensionMismatch(
             f"controls must be single-wire states, got dims {rho.dim}, {sigma.dim}")
-    ket0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    gate = elementary(GateSpec("TOFFOLI", (0, 1, 2)), 3)
-    state = tensor(tensor(rho.matrix, sigma.matrix), ket0)
-    event = Projector(tensor(np.eye(4), ket1))
-    return _pairing(_evolve(gate, state), event, max(rho.tolerance, sigma.tolerance))
+    spec = GateSpec("TOFFOLI", (0, 1, 2))
+    state = np.kron(np.kron(rho.matrix, sigma.matrix), np.diag([1.0, 0.0]))
+    # U state U* = (U (U state)*)*, two applications of the kernel
+    evolved = _apply(spec, _apply(spec, state, 3).conj().T, 3).conj().T
+    # the target is wire 2, the last bit: it reads 1 at the odd indices
+    return _probability(complex(evolved.diagonal()[1::2].sum()),
+                        max(DEFAULT_TOL, rho.tolerance, sigma.tolerance))

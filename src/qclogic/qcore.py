@@ -71,10 +71,11 @@ def tensor(a, b) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Operator:
     """A read-only square complex matrix and the tolerance its defining
-    invariants hold at; each operator type checks its own in ``_check``."""
+    invariants hold at; each operator type checks its own in ``_check``.
+    Two operators are equal when type, tolerance and entries all are."""
 
     matrix: np.ndarray
     tolerance: float = DEFAULT_TOL
@@ -83,6 +84,15 @@ class _Operator:
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix))
         check_tol(self.tolerance)
         self._check()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.tolerance == other.tolerance and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        # -0.0 + 0.0 is 0.0; the byte count of a square matrix fixes its shape
+        return hash((type(self), self.tolerance, (self.matrix + 0.0).tobytes()))
 
     def _check_hermitian(self) -> None:
         gap = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from qclogic import logic
-from qclogic.gates import compose_word
+from qclogic.gates import compose_word, fourier_matrix
 from qclogic.logic import EquivalenceReport, QuotientPartition
 from qclogic.omlattice import LawReport
 from qclogic.qcore import DensityOperator, Projector, entry_key
@@ -199,6 +199,18 @@ def dense_embedding(spec, width: int) -> np.ndarray:
         dst = [order[j] for j in range(width)] + [width + order[j] for j in range(width)]
         full = np.moveaxis(tens, src, dst).reshape(2 ** width, 2 ** width)
     return full
+
+
+def dense_period_branches(n: int, r: int) -> np.ndarray:
+    """Row x0 is |F v|**2 for F the package's N x N Fourier matrix and v the
+    uniform superposition of x0, x0 + r, ...; the route the FFT replaced."""
+    fmat = fourier_matrix(n)
+    rows = np.empty((r, n))
+    for x0 in range(r):
+        v = np.zeros(n, dtype=complex)
+        v[x0::r] = 1.0 / np.sqrt(n // r)
+        rows[x0] = np.abs(fmat @ v) ** 2
+    return rows
 
 
 def mat2_mult(a, b):

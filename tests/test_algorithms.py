@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,48 @@ def test_success_probability_helper():
     assert success_probability(res, ["2"]) == pytest.approx(0.5)
     with pytest.raises(UnknownOutcome):
         success_probability(res, ["7"])
+
+
+def test_success_probability_counts_a_repeated_label_once():
+    res = period_find(PeriodicSpec(8, 4, (1, 2, 3, 4) * 2))
+    assert success_probability(res, ["0", "0", "0", "0", "2"]) == pytest.approx(0.5)
+    with pytest.raises(UnknownOutcome, match="outcome '9' not in distribution"):
+        success_probability(res, ["0", "0", "9"])
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (6, 2), (6, 6), (12, 4), (12, 12),
+                                  (24, 8), (24, 24), (512, 32), (512, 512),
+                                  (1024, 8), (1024, 1024)])
+def test_period_distributions_match_the_dense_fourier_route(n, r):
+    spec = PeriodicSpec(n, r, tuple(x % r for x in range(n)))
+    dense = helpers.dense_period_branches(n, r)
+    assert np.max(np.abs(algorithms._branch_distributions(spec) - dense)) < 1e-12
+    # period_branches holds N * r Python floats; past 16,384 of them the
+    # rows are checked on the array above, to keep this process small
+    if n * r <= 512 * 32:
+        branches = period_branches(spec)
+        assert list(branches) == list(range(r))
+        for x0 in range(r):
+            got = np.array([branches[x0][str(c)] for c in range(n)])
+            assert np.max(np.abs(got - dense[x0])) < 1e-12
+    for x0 in (0, r - 1):
+        got = period_find(spec, condition_on=x0).outcome_distribution
+        assert max(abs(got[str(c)] - dense[x0][c]) for c in range(n)) < 1e-12
+    mixed = period_find(spec).outcome_distribution
+    want = dense.sum(axis=0) / r
+    assert max(abs(mixed[str(c)] - want[c]) for c in range(n)) < 1e-12
+
+
+def test_period_find_forms_no_n_by_n_matrix():
+    # the Fourier matrix at N = 1024 alone is 16 MiB
+    spec = PeriodicSpec(1024, 8, tuple(x % 8 for x in range(1024)))
+    tracemalloc.start()
+    try:
+        period_find(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_oracle_and_periodic_json_roundtrip():

@@ -1,0 +1,45 @@
+"""The arithmetic of tools/bench_pairs.py on a fixed table of runs."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [10.0, 12.0, 11.0, 9.0, 13.0, 10.0, 14.0, 8.0, 11.0, 12.0]
+CHANGE = [11.0, 11.0, 12.0, 10.0, 13.0, 12.0, 15.0, 9.0, 10.0, 13.0]
+
+
+def test_median_and_quartiles_are_the_exclusive_method():
+    s = bench_pairs.summarize(PARENT)
+    # sorted: 8 9 10 10 11 11 12 12 13 14; quartiles at ranks 2.75 and 8.25
+    assert s["median"] == 11.0
+    assert s["q1"] == pytest.approx(9.75)
+    assert s["q3"] == pytest.approx(12.25)
+    assert s["runs"] == PARENT
+
+
+def test_pairs_won_follow_the_direction_and_ties_win_nothing():
+    higher = bench_pairs.compare(PARENT, CHANGE, "higher")
+    # pair by pair: win, loss, win, win, tie, win, win, win, loss, win
+    assert higher["change_wins"] == 7 and higher["pairs"] == 10
+    lower = bench_pairs.compare(PARENT, CHANGE, "lower")
+    assert lower["change_wins"] == 2
+    assert higher["change_over_parent"] == pytest.approx(11.5 / 11.0)
+
+
+def test_the_median_gap_is_weighed_against_the_parents_spread():
+    near = bench_pairs.compare(PARENT, CHANGE, "higher")
+    assert near["median_gap_exceeds_parent_iqr"] is False     # 0.5 vs 2.5
+    far = bench_pairs.compare(PARENT, [v + 3.0 for v in PARENT], "higher")
+    assert far["median_gap_exceeds_parent_iqr"] is True       # 3.0 vs 2.5
+    assert far["change_wins"] == 10
+
+
+def test_a_direction_other_than_higher_or_lower_is_refused():
+    with pytest.raises(ValueError):
+        bench_pairs.compare(PARENT, CHANGE, "faster")

@@ -109,6 +109,15 @@ def test_equiv_total_failure_gives_separating_context():
     assert gap == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_failing_report_equals_itself_when_computed_again():
+    h = gates.compose_word(gates.parse_word("H"))
+    z = gates.compose_word(gates.parse_word("Z"))
+    first, again = equiv_total(h, z), equiv_total(h, z)
+    assert not first.holds and first.witness_state is not None
+    assert first == again and hash(first) == hash(again)
+    assert first != equiv_total(z, h)
+
+
 def test_equiv_total_witness_separates_random_pairs():
     gen = helpers.rng(103)
     for dim in (2, 4):

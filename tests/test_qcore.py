@@ -109,6 +109,27 @@ def test_operators_accept_any_memory_order():
     assert exc.value.invariant == "finite"
 
 
+@pytest.mark.parametrize("cls, matrix", [
+    (qcore.DensityOperator, np.diag([1.0, 0.0])),
+    (qcore.Projector, np.diag([1.0, 0.0])),
+    (qcore.UnitaryGate, np.diag([1.0, -1.0])),
+])
+def test_operators_compare_and_hash_by_type_tolerance_and_entries(cls, matrix):
+    a, b = cls(matrix), cls(matrix.copy())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # -0.0 equals 0.0, so the two must hash alike
+    signed = matrix.astype(complex)
+    signed[0, 1] = complex(-0.0, -0.0)
+    assert cls(signed) == a and hash(cls(signed)) == hash(a)
+    assert cls(matrix, 1e-6) != a
+
+
+def test_operators_of_another_type_or_other_entries_differ():
+    assert qcore.Projector(np.eye(2)) != qcore.UnitaryGate(np.eye(2))
+    assert qcore.Projector(np.diag([1.0, 0.0])) != qcore.Projector(np.diag([0.0, 1.0]))
+    assert qcore.Projector(np.eye(2)) != qcore.Projector(np.eye(4))
+
+
 def test_validate_dispatch():
     out = qcore.validate(np.eye(2) / 2, "density")
     assert isinstance(out, qcore.DensityOperator)
