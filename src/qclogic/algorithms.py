@@ -208,13 +208,12 @@ def periodic_from_json(obj: dict) -> PeriodicSpec:
         raise ParseError(f"bad periodic spec payload: {exc}")
 
 
-def _branch_distributions(spec: PeriodicSpec) -> np.ndarray:
-    """Row x0 is the Fourier-sampling distribution of the branch where the
-    second register reads f(x0): the uniform superposition of the N / r
-    inputs x0, x0 + r, ..., pushed through F_ab = e^{2 pi i a b / N} / sqrt N.
-    Since F v = sqrt N * ifft(v), one FFT per row gives it exactly."""
-    n, r = check_dim(spec.modulus), spec.period
-    branches = (np.arange(n) % r == np.arange(r)[:, None]) / math.sqrt(n / r)
+def _branch_distributions(n: int, r: int, offsets) -> np.ndarray:
+    """Row i is the Fourier-sampling distribution of the branch x0 =
+    offsets[i]: the uniform superposition of the N / r inputs x0, x0 + r,
+    ..., pushed through F_ab = e^{2 pi i a b / N} / sqrt N.  Since
+    F v = sqrt N * ifft(v), one FFT per row gives it exactly."""
+    branches = (np.arange(n) % r == np.asarray(offsets)[:, None]) / math.sqrt(n / r)
     return n * np.abs(np.fft.ifft(branches, axis=1)) ** 2
 
 
@@ -236,15 +235,14 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
         raise ValidationFailure("samples", samples, "need at least one draw")
     if samples > MAX_SAMPLES:
         raise SizeCapExceeded(f"{samples} samples exceeds cap {MAX_SAMPLES}")
-    n, r = spec.modulus, spec.period
-    dists = _branch_distributions(spec)
+    n, r = check_dim(spec.modulus), spec.period
+    offsets = range(r)
     if condition_on is not None:
         if condition_on not in spec.values[:r]:
             raise UnknownOutcome(
                 f"{condition_on} is not a value of the function")
-        probs = dists[spec.values.index(condition_on)]
-    else:
-        probs = dists.sum(axis=0) / r
+        offsets = [spec.values.index(condition_on)]
+    probs = _branch_distributions(n, r, offsets).mean(axis=0)
     probs /= probs.sum()
 
     rng = np.random.default_rng(seed)
@@ -258,8 +256,9 @@ def period_find(spec: PeriodicSpec, *, condition_on: int | None = None,
 
 def period_branches(spec: PeriodicSpec) -> dict[int, dict[str, float]]:
     """Per-observed-value outcome distributions, for inspecting invariance."""
+    n, r = check_dim(spec.modulus), spec.period
     return {value: {str(c): float(p) for c, p in enumerate(row)}
-            for value, row in zip(spec.values[:spec.period], _branch_distributions(spec))}
+            for value, row in zip(spec.values[:r], _branch_distributions(n, r, range(r)))}
 
 
 def success_probability(result: RunResult, success_outcomes: Sequence[str]) -> float:

@@ -238,21 +238,18 @@ def test_success_probability_counts_a_repeated_label_once():
 def test_period_distributions_match_the_dense_fourier_route(n, r):
     spec = PeriodicSpec(n, r, tuple(x % r for x in range(n)))
     dense = helpers.dense_period_branches(n, r)
-    assert np.max(np.abs(algorithms._branch_distributions(spec) - dense)) < 1e-12
-    # period_branches holds N * r Python floats; past 16,384 of them the
-    # rows are checked on the array above, to keep this process small
-    if n * r <= 512 * 32:
-        branches = period_branches(spec)
-        assert list(branches) == list(range(r))
-        for x0 in range(r):
-            got = np.array([branches[x0][str(c)] for c in range(n)])
-            assert np.max(np.abs(got - dense[x0])) < 1e-12
-    for x0 in (0, r - 1):
-        got = period_find(spec, condition_on=x0).outcome_distribution
-        assert max(abs(got[str(c)] - dense[x0][c]) for c in range(n)) < 1e-12
+    branches = period_branches(spec)
+    assert list(branches) == list(range(r))
+    for x0 in range(r):
+        branch = branches.pop(x0)
+        got = np.array([branch[str(c)] for c in range(n)])
+        assert np.max(np.abs(got - dense[x0])) < 1e-12
+        found = period_find(spec, condition_on=x0).outcome_distribution
+        got = np.array([found[str(c)] for c in range(n)])
+        assert np.max(np.abs(got - dense[x0])) < 1e-12
     mixed = period_find(spec).outcome_distribution
-    want = dense.sum(axis=0) / r
-    assert max(abs(mixed[str(c)] - want[c]) for c in range(n)) < 1e-12
+    got = np.array([mixed[str(c)] for c in range(n)])
+    assert np.max(np.abs(got - dense.sum(axis=0) / r)) < 1e-12
 
 
 def test_period_find_forms_no_n_by_n_matrix():

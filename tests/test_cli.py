@@ -181,12 +181,14 @@ def _in_child(body: list[str], *args: str) -> subprocess.CompletedProcess:
 def _main_in_child(argv: list[str], out: pathlib.Path) -> tuple[int, int, str]:
     """Run the CLI with ``--out`` in a child under :func:`_in_child`'s limits;
     returns its exit code, its own peak resident set in KiB (on Linux) after
-    main returns, and its stderr."""
+    main returns, and its stderr.  The peak is ``VmHWM``, which starts anew
+    at ``exec``; ``ru_maxrss`` would carry over the parent's resident set."""
     proc = _in_child([
         "import json, sys",
         "from qclogic.cli import main",
         "code = main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])",
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+        "print(next(int(line.split()[1]) for line in open('/proc/self/status')",
+        "           if line.startswith('VmHWM:')))",
         "sys.exit(code)",
     ], json.dumps(argv), str(out))
     return proc.returncode, int(proc.stdout or 0), proc.stderr

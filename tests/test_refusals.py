@@ -1,9 +1,5 @@
 """Refusals that no other test reaches, one row each: the call, the
-exception class it raises, and the exact message.
-
-A row whose class is not a ``QclError`` (``ValueError``) is a misuse of the
-library by its caller, not bad data; the CLI reports both with exit code 2.
-"""
+exception class it raises, and the exact message."""
 
 import contextlib
 import io
@@ -141,9 +137,6 @@ REFUSALS = [
     ("BoolCircuit, a node that is no expression",
      lambda: classical.BoolCircuit(1, "x0"),
      ValidationFailure, "invariant 'circuit-node' violated by 0.000e+00 (bad node 'x0')"),
-    ("eval_circuit, an input that is no bitstring",
-     lambda: classical.eval_circuit(classical.BoolCircuit(1, _X0), "2"),
-     ValueError, "input must be a bitstring, got '2'"),
     ("StochasticOutput, a negative width",
      lambda: classical.StochasticOutput(1, -1, {}),
      ValidationFailure, "invariant 'register-size' violated by 0.000e+00 (negative width)"),
@@ -171,9 +164,6 @@ REFUSALS = [
     ("enumerate_polynomials, no wires",
      lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 0, 1),
      InvalidWire, "width must be >= 1, got 0"),
-    ("enumerate_polynomials, a negative length",
-     lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 1, -1),
-     ValueError, "max_len must be >= 0, got -1"),
     ("quotient, words of two widths",
      lambda: logic.quotient(_words("H", "width=2; H[1]"), "equiv_rho",
                             qcore.DensityOperator(np.eye(2) / 2)),
@@ -210,6 +200,21 @@ def test_refusal(call, cls, message):
     with pytest.raises(cls) as err:
         call()
     assert type(err.value) is cls
+    assert str(err.value) == message
+
+
+# These raise a bare ValueError, though every failure should be a QclError
+# (ROADMAP item 10), so only their messages are pinned here.
+@pytest.mark.parametrize("call, message", [
+    (lambda: classical.eval_circuit(classical.BoolCircuit(1, _X0), "2"),
+     "input must be a bitstring, got '2'"),
+    (lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 1, -1),
+     "max_len must be >= 0, got -1"),
+], ids=["eval_circuit, an input that is no bitstring",
+        "enumerate_polynomials, a negative length"])
+def test_refusal_message(call, message):
+    with pytest.raises(Exception) as err:
+        call()
     assert str(err.value) == message
 
 

@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --pr N [--parent REV] [--pairs 10]
-        [--seed 31001] [--workload W ...] [--change TEXT]
+    python3 tools/bench_pairs.py --pr N [--parent REV] [--seed 31001]
+        [--change TEXT]
 
 Run it from anywhere inside a checkout.  The parent (``HEAD`` unless
 ``--parent`` names another revision) and the change, the working tree as
 ``git add -A`` would stage it, are each exported with ``git archive | tar -x``
 into a temporary directory, so both run from fresh copies on the same file
-system and compile their bytecode on their first start-up.  For each
-workload, pair i runs
+system and compile their bytecode on their first start-up.  For every
+workload in ``BENCHMARK.json``, each of ten pairs i runs
 
     python3 perfbench/run.py --workload W --seed S+i --seconds 20 --trace 0
 
 from both roots, the parent first when i is even and the change first when i
 is odd.  The run length (``run_seconds``) and the metric names, units,
 directions and bounds (``end_to_end``) are read from ``BENCHMARK.json``;
-nothing there or under ``perfbench/`` is written.  The result goes to ``BENCH_<N>.json`` at the root of the checkout,
-in the layout of ``BENCH_12.json``: per workload and metric, each side's runs
-with their median and quartiles (``statistics.quantiles(values, n=4)``), the
-ratio of the medians, how many pairs the change won, and whether the gap
-between the medians exceeds the parent's interquartile range.
+nothing there or under ``perfbench/`` is written.  The result goes to
+``BENCH_<N>.json`` at the root of the checkout, in the layout of
+``BENCH_12.json``: per workload and metric, each side's runs with their
+median and quartiles (``statistics.quantiles(values, n=4)``), the ratio of
+the medians, how many pairs the change won, and whether the gap between the
+medians exceeds the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
+PAIRS = 10
 PAIRING = ("pair i runs the parent first when i is even and the change first when odd; "
            "quartiles are statistics.quantiles(values, n=4)")
 
@@ -128,19 +130,13 @@ def _workload(name: str, metrics: list[dict], roots: dict, seeds: list[int],
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=31001, help="seed of pair 0")
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="repeatable; default every workload")
     parser.add_argument("--change", default="", help="one line naming the change")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("quartiles need at least two pairs")
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = [args.seed + i for i in range(PAIRS)]
     parent = _git("rev-parse", args.parent)
     change = _worktree_tree()
     report = {
@@ -161,7 +157,8 @@ def main() -> int:
         for side, rev in (("parent", parent), ("change", change)):
             os.mkdir(roots[side])
             _export(rev, roots[side])
-        for name in args.workload or names:
+        for w in bench["workloads"]:
+            name = w["name"]
             report["workloads"][name] = _workload(name, bench["end_to_end"], roots,
                                                   seeds, bench["run_seconds"])
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
