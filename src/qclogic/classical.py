@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     GroundMismatch,
+    InvalidArgument,
     ParseError,
     SizeCapExceeded,
     UnknownInput,
@@ -37,10 +38,10 @@ def eval_gate(name: str, args: Sequence[int]) -> int:
     try:
         table = _GATES[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown gate {name!r}; expected or/and/not")
+        raise InvalidArgument(f"unknown gate {name!r}; expected or/and/not")
     key = tuple(int(a) for a in args)
     if any(b not in (0, 1) for b in key):
-        raise ValueError(f"arguments must be bits, got {args!r}")
+        raise InvalidArgument(f"arguments must be bits, got {args!r}")
     if key not in table:
         raise ArityMismatch(f"gate {name!r} takes {len(next(iter(table)))} arguments")
     return table[key]
@@ -118,7 +119,7 @@ def eval_circuit(circuit: BoolCircuit, bits: str) -> int:
         raise ArityMismatch(
             f"input length {len(bits)} vs arity {circuit.arity}")
     if any(c not in "01" for c in bits):
-        raise ValueError(f"input must be a bitstring, got {bits!r}")
+        raise InvalidArgument(f"input must be a bitstring, got {bits!r}")
 
     def go(node: Expr) -> int:
         if isinstance(node, Var):

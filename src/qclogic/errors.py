@@ -113,5 +113,10 @@ class HierarchyViolation(QclError):
     bug in the relation implementations, not bad user input."""
 
 
+class InvalidArgument(QclError, ValueError):
+    """An argument lies outside the values a function accepts; also a
+    ValueError, so callers that catch ValueError still catch it."""
+
+
 class IndexOutOfRange(QclError):
     """An element, state, or generator index is out of range."""

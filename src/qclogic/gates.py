@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
+    InvalidArgument,
     InvalidWire,
     ParseError,
     SizeCapExceeded,
@@ -379,7 +380,7 @@ def enumerate_polynomials(
     if width < 1:
         raise InvalidWire(f"width must be >= 1, got {width}")
     if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
+        raise InvalidArgument(f"max_len must be >= 0, got {max_len}")
     groups = [(t.name, _params(t, generators.label), _placements(t.name, width))
               for t in generators.members]
     a = sum(len(params) * count for _, params, (count, _) in groups)

@@ -19,12 +19,12 @@ Failed quantified relations come with an explicit separating witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, HierarchyViolation
+from .errors import DimensionMismatch, HierarchyViolation, InvalidArgument
 from .gates import GateWord, _apply, format_word
 from .qcore import (
     DEFAULT_TOL,
@@ -35,6 +35,7 @@ from .qcore import (
     _pairing,
     _probability,
     check_tol,
+    entry_key,
     matrix_to_json,
 )
 
@@ -306,18 +307,42 @@ def hierarchy_check(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
 # quotients of word lists
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientPartition:
     """Words grouped into classes of the chosen relation.
 
     Classes appear in order of their first member; ``keys`` holds one
     canonical rounded key per class (the truth value for the pointwise
     relation, the evolved state's entries for the fixed-state one).
+    A partition built by ``quotient`` holds each class's representative
+    invariant rather than its key, and builds the keys from those whenever
+    they are read.  Equality and the hash are those of (relation, classes,
+    keys).
     """
 
     relation: str
     classes: tuple[tuple[GateWord, ...], ...]
-    keys: tuple[tuple, ...]
+    _keys: tuple[tuple, ...] | None = field(default=None, repr=False)
+    _reps: tuple = field(default=(), repr=False)
+
+    @property
+    def keys(self) -> tuple[tuple, ...]:
+        if self._keys is not None:
+            return self._keys
+        if self.relation == "equiv_rho_P":
+            return tuple((round(float(r), 9) + 0.0,) for r in self._reps)
+        return tuple(entry_key(r, 9) for r in self._reps)
+
+    def _fields(self) -> tuple:
+        return self.relation, self.classes, self.keys
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def to_json_dict(self) -> dict:
         return {
@@ -394,42 +419,37 @@ def _evolve_words(words: list[GateWord], factor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rounded(state: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts side by side, to 9 digits; -0.0 and 0.0
-    become one."""
-    return np.round(state.view(float), 9) + 0.0
-
-
-# the evolved factors of one chunk of words stay within this many bytes
+# a chunk of evolved factors, and a batch of invariants, stay within this
+# many bytes
 _CHUNK_BYTES = 2 << 20
 
 
-def _word_invariants(words: list[GateWord], relation: str, rho: DensityOperator,
-                     p: Projector | None):
-    """Each word's invariant, in order: its truth value
-    Sum_j s_j <(UF)_j, P (UF)_j>, or its evolved state (UF) S (UF)*.
+def _word_invariants(words: list[GateWord], factor: np.ndarray, signs: np.ndarray,
+                     p: Projector | None, pair_tol: float):
+    """Each word's invariant, in batches of the list as given: its truth
+    value Sum_j s_j <(UF)_j, P (UF)_j> if ``p`` is given, else its evolved
+    state (UF) S (UF)*.  Yields (index of the batch's first word, batch).
 
-    Words are evolved in chunks of the list as given, each holding at most
-    ``_CHUNK_BYTES`` of U F, so the working set is bounded whatever the
-    rank of rho; at a rank-one context, up to 2**17 / dim words share one
-    chunk.
+    Words are evolved in chunks, each holding at most ``_CHUNK_BYTES`` of
+    U F, so the working set is bounded whatever the rank of rho; at a
+    rank-one context, up to 2**17 / dim words share one chunk.  A chunk's
+    evolved states are formed in batches of at most ``_CHUNK_BYTES`` too,
+    dim * dim * 16 bytes per word.
     """
-    factor, signs = _factor(rho.matrix)
     dim, rank = factor.shape
     step = max(1, _CHUNK_BYTES // (16 * dim * rank))
+    per = step if p is not None else max(1, _CHUNK_BYTES // (16 * dim * dim))
     for start in range(0, len(words), step):
         states = _evolve_words(words[start:start + step], factor)
-        if relation == "equiv_rho_P":
-            # truth_value's tolerance for a gate, which has the default
-            pair_tol = max(DEFAULT_TOL, rho.tolerance, p.tolerance)
+        if p is not None:
             flat = states.reshape(dim, -1)
             traces = (np.einsum("ij,ij->j", flat.conj(), p.matrix @ flat)
                       .reshape(-1, rank) @ signs)
-            yield from (_probability(complex(t), pair_tol) for t in traces)
-        else:
-            for i in range(states.shape[1]):
-                y = states[:, i, :]
-                yield (y * signs) @ y.conj().T
+            yield start, np.array([_probability(t, pair_tol) for t in traces.tolist()])
+            continue
+        for i in range(0, states.shape[1], per):
+            y = states[:, i:i + per, :].transpose(1, 0, 2)
+            yield start + i, (y * signs) @ y.conj().transpose(0, 2, 1)
 
 
 def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
@@ -439,27 +459,33 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
     Words are evolved from their prefixes, one kernel call per letter and
     length, on a factor F of the context with rho = F S F* (S the signs of
     rho's eigenvalues).  Any word list is accepted: unordered, with
-    repeats, or not closed under prefixes.  Words are evolved in chunks
-    of at most 2 MiB of U F (at a rank-one context, 2**17 / dim words per
-    chunk); memory is that chunk plus one evolved state per class.
-    A word's invariant is its truth value Sum_j s_j <(UF)_j, P (UF)_j>, or
-    its evolved state (UF) S (UF)*.
+    repeats, or not closed under prefixes.  A word's invariant is its
+    truth value Sum_j s_j <(UF)_j, P (UF)_j>, or its evolved state
+    (UF) S (UF)*.  Memory is one chunk of at most 2 MiB of U F (at a
+    rank-one context, 2**17 / dim words per chunk), one batch of at most
+    2 MiB of invariants, and one invariant per class, its representative,
+    stored once; ``keys`` are built from the representatives when read.
 
     Words are keyed by their rounded invariant (9 decimal digits) for
     near-constant-time grouping.  A key hit joins that class only if the
     word is within ``tol`` of its representative; a miss, or a hit that is
-    too far, is compared against every representative at ``tol``, so values
-    that straddle a rounding boundary merge instead of splitting and values
-    that share a key but differ by more than ``tol`` stay apart.  A class's
-    key is its representative's; the factor's arithmetic differs from
-    composing U by about 1e-16, so at a context with inexact entries a key
-    can differ from the composed route's by one unit in its ninth digit.
+    too far, joins the first representative in class order within ``tol``,
+    so values that straddle a rounding boundary merge instead of splitting
+    and values that share a key but differ by more than ``tol`` stay
+    apart.  Each representative R keeps a probe <R, x>: its real and
+    imaginary parts weighted by one fixed real vector x with ||x||_1 = 1.
+    Since |<R - W, x>| <= max|R - W|, only the representatives whose probe
+    lies within ``tol`` of the word's, plus a bound on the probes'
+    rounding, are compared in full.  A class's key is its representative's;
+    the factor's arithmetic differs from composing U by about 1e-16, so at
+    a context with inexact entries a key can differ from the composed
+    route's by one unit in its ninth digit.
     """
     check_tol(tol)
     if relation not in ("equiv_rho", "equiv_rho_P"):
-        raise ValueError(f"quotient supports equiv_rho and equiv_rho_P, got {relation!r}")
+        raise InvalidArgument(f"quotient supports equiv_rho and equiv_rho_P, got {relation!r}")
     if relation == "equiv_rho_P" and p is None:
-        raise ValueError("equiv_rho_P needs an event")
+        raise InvalidArgument("equiv_rho_P needs an event")
     words = list(words)
     if not words:
         return QuotientPartition(relation, (), ())
@@ -472,32 +498,53 @@ def quotient(words: Sequence[GateWord], relation: str, rho: DensityOperator,
         if op is not None and math.log2(op.dim) != width:
             raise DimensionMismatch(f"{what} dim {op.dim} vs register width {width}")
 
-    classes: list[list[GateWord]] = []
-    by_key: dict = {}
-    # class representatives, stacked; complex holds a truth value exactly
-    reps = np.empty((0,) + (rho.matrix.shape if relation == "equiv_rho" else ()),
-                    dtype=complex)
-    for w, data in zip(words, _word_invariants(words, relation, rho, p)):
-        key = (round(data, 9) + 0.0 if relation == "equiv_rho_P"
-               else _rounded(data).tobytes())
-        idx = by_key.get(key)
-        if idx is None or np.abs(reps[idx] - data).max() > tol:
-            dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
-            near = np.flatnonzero(dist <= tol)
-            idx = int(near[0]) if near.size else None
-        if idx is None:
-            classes.append([w])
-            reps = np.concatenate([reps, [data]])
-            by_key[key] = len(classes) - 1
-        else:
-            classes[idx].append(w)
-            by_key.setdefault(key, idx)
-    del by_key   # before the public keys, which take far more room
-    # a class's key is its first word's, the rounded representative
+    factor, signs = _factor(rho.matrix)
     if relation == "equiv_rho_P":
-        keys = [(round(float(r.real), 9) + 0.0,) for r in reps]
+        # truth_value's tolerance for a gate, which has the default
+        event, pair_tol = p, max(DEFAULT_TOL, rho.tolerance, p.tolerance)
+        dist = lambda a, b: abs(a - b)
     else:
-        keys = [tuple(map(tuple, _rounded(r).reshape(-1, 2).tolist())) for r in reps]
-    return QuotientPartition(relation,
-                             tuple(tuple(c) for c in classes),
-                             tuple(keys))
+        event, pair_tol = None, 0.0
+        dist = lambda a, b: np.abs(a - b).max()
+    # the probe weights: m real numbers with no structure of their own and
+    # sum |x| = 1, one per real entry of an invariant (m = 1 gives x = [1])
+    m = 1 if event is not None else 2 * rho.dim ** 2
+    x = (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 - 0.5
+    x /= np.abs(x).sum()
+    # both probes' rounding: m products of entries at most Sum|lambda| =
+    # ||F||^2 in modulus, with weights of total 1, summed in any order
+    bound = np.vdot(factor, factor).real
+    margin = 4 * (m + 2) * np.finfo(float).eps * (bound + tol)
+    # np.round(v, 9) is rint(v * 1e9) / 1e9, so two invariants round alike
+    # exactly when their integers rint(v * 1e9) agree; int32 holds those
+    # while |v| <= Sum|lambda| < 2
+    digits = np.int32 if bound < 2 else np.int64
+    classes: list[list[GateWord]] = []
+    reps: list = []                         # one invariant per class
+    probes = np.empty(len(words))           # <R, x> per class, in class order
+    by_key: dict = {}
+    for start, batch in _word_invariants(words, factor, signs, event, pair_tol):
+        if event is not None:
+            values = batch.tolist()
+            keys = [round(v, 9) + 0.0 for v in values]
+        else:
+            values = batch
+            scaled = batch.view(float) * 1e9
+            keys = [row.tobytes() for row in np.rint(scaled, out=scaled).astype(digits)]
+        batch_probes = (batch.view(float).reshape(len(batch), m) @ x).tolist()
+        for w, data, key, probe in zip(words[start:], values, keys, batch_probes):
+            idx = by_key.get(key)
+            if idx is None or dist(reps[idx], data) > tol:
+                near = np.abs(probes[:len(reps)] - probe) <= tol + margin
+                idx = next((int(c) for c in near.nonzero()[0]
+                            if dist(reps[c], data) <= tol), None)
+            if idx is None:
+                probes[len(reps)] = probe
+                reps.append(data if event is not None else data.copy())
+                classes.append([w])
+                by_key[key] = len(classes) - 1
+            else:
+                classes[idx].append(w)
+                by_key.setdefault(key, idx)
+    return QuotientPartition(relation, tuple(tuple(c) for c in classes),
+                             _reps=tuple(reps))

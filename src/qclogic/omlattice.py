@@ -28,6 +28,7 @@ from .errors import (
     ClosureCapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidArgument,
     LatticeMismatch,
     NotClosedUnderConjugation,
     SizeCapExceeded,
@@ -698,7 +699,7 @@ def compose_automorphisms(word: Sequence[LatticeAutomorphism]) -> LatticeAutomor
     g(h(.)), matching (HG)* P (HG) = G*(H* P H) G for unitaries.
     """
     if not word:
-        raise ValueError("empty automorphism word")
+        raise InvalidArgument("empty automorphism word")
     lat = word[0].lattice
     mapping = np.arange(len(lat))
     for auto in reversed(list(word)):

@@ -13,6 +13,7 @@ from qclogic import gates, logic, qcore
 from qclogic.errors import DimensionMismatch, NonRealTrace, ValidationFailure
 from qclogic.logic import (
     EquivalenceReport,
+    QuotientPartition,
     equiv_P,
     equiv_rho,
     equiv_rho_P,
@@ -618,6 +619,75 @@ def test_quotient_in_chunks_equals_the_oracle(monkeypatch, kind):
     monkeypatch.setattr(logic, "_CHUNK_BYTES", 7 * 16 * 4 * 4)
     _assert_quotient_equals_the_oracle(words, rho, qcore.Projector(
         helpers.random_projector(gen, 4, rank=2)), 1e-9, exact_keys=kind in EXACT_KINDS)
+
+
+def test_quotient_in_batches_that_cut_through_a_chunk_equals_the_oracle(monkeypatch):
+    # a rank-two state at d = 8: U F takes 256 bytes a word and U rho U*
+    # 1,024, so each chunk of eleven words is formed in batches of two
+    words = gates.enumerate_polynomials(gates.generator_set("G2", phases=(0.7, 2.3)), 3, 2)
+    gen = helpers.rng(23)
+    rho = qcore.DensityOperator(0.7 * helpers.random_pure(gen, 8)
+                                + 0.3 * helpers.random_pure(gen, 8))
+    monkeypatch.setattr(logic, "_CHUNK_BYTES", 11 * 16 * 8 * 2)
+    factor, signs = logic._factor(rho.matrix)
+    assert factor.shape == (8, 2)
+    starts = [start for start, _ in logic._word_invariants(words, factor, signs, None, 0.0)]
+    assert starts[:7] == [0, 2, 4, 6, 8, 10, 11]
+    _assert_quotient_equals_the_oracle(words, rho, qcore.Projector(
+        helpers.random_projector(gen, 8, rank=3)), 1e-9, exact_keys=False)
+
+
+@pytest.mark.parametrize("relation", ["equiv_rho_P", "equiv_rho"])
+def test_quotient_merges_two_words_exactly_tol_apart(relation):
+    # tol is the distance of the two invariants as the call itself computes
+    # them (the representatives at tol = 0), so the probe filter must keep
+    # a match at equality; where the oracle's route gives the same distance,
+    # the partitions are the oracle's too
+    words = SWEEP["G1 width 1 length 10"][:31]
+    event = qcore.Projector(helpers.random_pure(helpers.rng(5), 2))
+    p = event if relation == "equiv_rho_P" else None
+    pairs = same = 0
+    for a, b in itertools.combinations(words, 2):
+        apart = quotient([a, b], relation, ZERO, event, 0.0)
+        if len(apart.classes) == 1:
+            continue
+        tol = float(np.max(np.abs(apart._reps[0] - apart._reps[1])))
+        part = quotient([a, b], relation, ZERO, event, tol)
+        assert part.classes == ((a, b),)
+        pairs += 1
+        oracle = [logic._invariant(gates.compose_word(w), ZERO, p) for w in (a, b)]
+        if float(np.max(np.abs(oracle[0] - oracle[1]))) == tol:
+            assert part == helpers.quotient_oracle([a, b], relation, ZERO, event, tol)
+            same += 1
+    assert pairs >= 100 and same >= pairs // 2
+
+
+@pytest.mark.parametrize("relation", ["equiv_rho_P", "equiv_rho"])
+def test_quotient_joins_across_a_rounding_boundary(relation):
+    # truth values 0.8000000005 -/+ 1e-13 at |0>: their 9-digit keys differ,
+    # yet they lie within tol, so the second word joins the first's class
+    values = [0.8 + 0.5e-9 - 1e-13, 0.8 + 0.5e-9 + 1e-13]
+    words = [gates.parse_word(f"width=1; H[0]; R({2 * math.acos(math.sqrt(t))!r})[0]; H[0]")
+             for t in values]
+    part = quotient(words, relation, ZERO, P_ZERO)
+    assert part.classes == (tuple(words),)
+    single = [quotient([w], relation, ZERO, P_ZERO).keys[0] for w in words]
+    assert single[0] != single[1]
+    assert part.keys == (single[0],)
+
+
+def test_quotient_keys_equal_the_oracles_with_their_types():
+    words = SWEEP["G2 width 2 length 3"][:120]
+    rho = qcore.DensityOperator(helpers.basis_state(4, 0))
+    event = qcore.Projector(helpers.basis_state(4, 3))
+    for relation in ("equiv_rho_P", "equiv_rho"):
+        got = quotient(words, relation, rho, event)
+        want = helpers.quotient_oracle(words, relation, rho, event)
+        assert got.keys == want.keys and type(got.keys) is type(want.keys) is tuple
+        assert [list(map(type, k)) for k in got.keys] == [list(map(type, k)) for k in want.keys]
+        assert got == want and hash(got) == hash(want)
+        assert got == QuotientPartition(relation, got.classes, got.keys)
+        assert got != QuotientPartition(relation, got.classes[::-1], got.keys[::-1])
 
 
 def test_quotient_keeps_a_negative_eigenvalue_and_a_skew_part():

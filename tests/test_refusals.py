@@ -1,5 +1,5 @@
-"""Refusals that no other test reaches, one row each: the call, the
-exception class it raises, and the exact message."""
+"""Refusals of caller input, one row each: the call, the exception class
+it raises, and the exact message."""
 
 import contextlib
 import io
@@ -13,6 +13,7 @@ from qclogic.errors import (
     ArityMismatch,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidArgument,
     InvalidWire,
     LatticeMismatch,
     NotOrthonormalFamily,
@@ -127,6 +128,9 @@ REFUSALS = [
     ("ComputationalScheme, a generator on another lattice",
      lambda: _scheme(None, boolean_oml(1)),
      LatticeMismatch, "generator built on a different lattice"),
+    ("compose_automorphisms, no automorphism",
+     lambda: omlattice.compose_automorphisms([]),
+     InvalidArgument, "empty automorphism word"),
     ("run_protocol, a readout out of range",
      lambda: run_protocol(_scheme(None, None), [0], readout=[99]),
      IndexOutOfRange, "readout element 99 out of range"),
@@ -157,6 +161,15 @@ REFUSALS = [
     ("check_kolmogorov, an unknown input",
      lambda: classical.check_kolmogorov(_machine(), "00"),
      UnknownInput, "no row for input '00'"),
+    ("eval_gate, an unknown gate",
+     lambda: classical.eval_gate("xor", (0, 1)),
+     InvalidArgument, "unknown gate 'xor'; expected or/and/not"),
+    ("eval_gate, an argument that is no bit",
+     lambda: classical.eval_gate("or", (0, 2)),
+     InvalidArgument, "arguments must be bits, got (0, 2)"),
+    ("eval_circuit, an input that is no bitstring",
+     lambda: classical.eval_circuit(classical.BoolCircuit(1, _X0), "2"),
+     InvalidArgument, "input must be a bitstring, got '2'"),
     ("sample_output, an unknown input",
      lambda: classical.sample_output(_machine(), "2", rng=np.random.default_rng(0)),
      UnknownInput, "no row for input '2'"),
@@ -168,6 +181,15 @@ REFUSALS = [
      lambda: logic.quotient(_words("H", "width=2; H[1]"), "equiv_rho",
                             qcore.DensityOperator(np.eye(2) / 2)),
      DimensionMismatch, "word widths differ: 2 vs 1"),
+    ("quotient, a relation it does not support",
+     lambda: logic.quotient(_words("H"), "equiv_total", qcore.DensityOperator(np.eye(2) / 2)),
+     InvalidArgument, "quotient supports equiv_rho and equiv_rho_P, got 'equiv_total'"),
+    ("quotient, equiv_rho_P with no event",
+     lambda: logic.quotient(_words("H"), "equiv_rho_P", qcore.DensityOperator(np.eye(2) / 2)),
+     InvalidArgument, "equiv_rho_P needs an event"),
+    ("enumerate_polynomials, a negative length",
+     lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 1, -1),
+     InvalidArgument, "max_len must be >= 0, got -1"),
     # qcore
     ("OperatorAlgebraBasis, an element of another dimension",
      lambda: qcore.OperatorAlgebraBasis(2, (np.eye(3),)),
@@ -203,19 +225,10 @@ def test_refusal(call, cls, message):
     assert str(err.value) == message
 
 
-# These raise a bare ValueError, though every failure should be a QclError
-# (ROADMAP item 10), so only their messages are pinned here.
-@pytest.mark.parametrize("call, message", [
-    (lambda: classical.eval_circuit(classical.BoolCircuit(1, _X0), "2"),
-     "input must be a bitstring, got '2'"),
-    (lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 1, -1),
-     "max_len must be >= 0, got -1"),
-], ids=["eval_circuit, an input that is no bitstring",
-        "enumerate_polynomials, a negative length"])
-def test_refusal_message(call, message):
-    with pytest.raises(Exception) as err:
-        call()
-    assert str(err.value) == message
+def test_the_cli_exits_2_on_a_refused_argument(capsys):
+    code = main(["quotient", "--generators", "G1", "--max-len", "-1", "--state", "basis:0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: max_len must be >= 0, got -1\n")
 
 
 def test_the_empty_basis_contains_only_zero():
