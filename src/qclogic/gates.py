@@ -118,7 +118,11 @@ class GateSpec:
     def __post_init__(self):
         name = str(self.name).upper()
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        try:
+            wires = tuple(int(w) for w in self.wires)
+        except (TypeError, ValueError) as exc:
+            raise InvalidWire(str(exc))
+        object.__setattr__(self, "wires", wires)
         if name not in _GATES:
             raise UnknownGate(f"{name!r} (supported: {_SUPPORTED})")
         gate = _GATES[name]
@@ -336,7 +340,7 @@ def generator_set(label: str, *, phases: Sequence[float] | None = None) -> Gener
     elif label == "G3":
         members = (GateTemplate("XX", grid), GateTemplate("R", grid))
     else:
-        raise ValueError(f"unknown generator set {label!r}; expected G1, G2 or G3")
+        raise InvalidArgument(f"unknown generator set {label!r}; expected G1, G2 or G3")
     return GeneratorSet(label, members)
 
 

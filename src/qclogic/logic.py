@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HierarchyViolation, InvalidArgument
-from .gates import GateWord, _apply, format_word
+from .gates import GateSpec, GateWord, _apply, format_word
 from .qcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -75,7 +75,7 @@ class EquivalenceReport:
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+            raise InvalidArgument(f"unknown relation {self.relation!r}")
 
     def to_json_dict(self) -> dict:
         out: dict = {"relation": self.relation, "holds": self.holds,
@@ -386,8 +386,12 @@ def _evolve_words(words: list[GateWord], factor: np.ndarray) -> np.ndarray:
     """
     width = words[0].width
     dim, rank = factor.shape
-    # levels[k] numbers the nodes of length k by (parent node, last letter);
-    # the root, the empty word, is node 0 of length 0
+    # each distinct letter is numbered once, by object identity first, so
+    # that a GateSpec is hashed once per call rather than once per trie step
+    by_id: dict[int, int] = {}
+    numbers: dict[GateSpec, int] = {}
+    # levels[k] numbers the nodes of length k by (parent node, last letter's
+    # number); the root, the empty word, is node 0 of length 0
     levels: list[dict] = [{}]
     ends: list[list[tuple[int, int]]] = [[]]   # per length: (word, node)
     for i, w in enumerate(words):
@@ -396,21 +400,25 @@ def _evolve_words(words: list[GateWord], factor: np.ndarray) -> np.ndarray:
             if k == len(levels):
                 levels.append({})
                 ends.append([])
-            node = levels[k].setdefault((node, spec), len(levels[k]))
+            letter = by_id.get(id(spec))
+            if letter is None:
+                letter = by_id[id(spec)] = numbers.setdefault(spec, len(numbers))
+            node = levels[k].setdefault((node, letter), len(levels[k]))
         ends[len(w.word)].append((i, node))
+    letters = list(numbers)
     out = np.empty((dim, len(words), rank), dtype=complex)
     states = factor[:, None, :]
     for k, level in enumerate(levels):
         if k:
             groups: dict = {}
-            for (parent, spec), node in level.items():
-                parents, nodes = groups.setdefault(spec, ([], []))
+            for (parent, letter), node in level.items():
+                parents, nodes = groups.setdefault(letter, ([], []))
                 parents.append(parent)
                 nodes.append(node)
             children = np.empty((dim, len(level), rank), dtype=complex)
-            for spec, (parents, nodes) in groups.items():
+            for letter, (parents, nodes) in groups.items():
                 block = states[:, parents, :].reshape(dim, -1)
-                children[:, nodes, :] = _apply(spec, block, width).reshape(
+                children[:, nodes, :] = _apply(letters[letter], block, width).reshape(
                     dim, len(nodes), rank)
             states = children
         if ends[k]:

@@ -14,12 +14,18 @@ pushforwards, generalized equivalence of automorphism words, a superposition
 test, and a protocol runner.  Two concrete constructions are provided: the
 Boolean lattice of subsets and the lattice generated by closing a family of
 projectors under meet and complement, whose joins (by De Morgan) and order
-(a <= b exactly when a ^ b = a) are read off the meet table.
+(a <= b exactly when a ^ b = a) are read off the meet table.  Each round of
+that closure decomposes its new pairs with batched SVDs, one call per chunk
+of pairs.  A lattice given by its order alone has its meet and join tables
+read off one matrix product of the order each: the product's entries are
+exact integer fingerprints of the common lower (upper) sets, which name each
+pair's bound, and an exact check on the same product confirms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -361,7 +367,16 @@ def from_order(labels: Sequence[str], leq, ortho, zero: int, one: int,
     """Build a lattice from the order relation alone.
 
     Meet and join tables are derived as greatest lower / least upper bounds;
-    a pair without a unique glb or lub fails with a named violation.
+    a pair without a unique glb or lub fails with a named violation.  On a
+    reflexive, antisymmetric relation each table is read off one matrix
+    product of the order L, H = L^T diag(r) L for meets and the same of L^T
+    for joins: H[a, b] is an exact integer fingerprint of the common set of
+    a and b, it names the element whose own set has that fingerprint, and
+    entries of the same product check exactly that this element's set is
+    the common set (see :func:`_bounds_by_products`).  The pairs the
+    products miss, for want of a bound or by a fingerprint collision, and
+    every pair of any other relation, are derived from the definition row
+    by row, so the tables and exceptions do not depend on the weights r.
     """
     labels = tuple(str(s) for s in labels)
     n = len(labels)
@@ -370,17 +385,20 @@ def from_order(labels: Sequence[str], leq, ortho, zero: int, one: int,
     leq = np.array(leq, dtype=bool)
     if leq.shape != (n, n):
         raise ValidationFailure("table-shape", 0.0, f"leq is {leq.shape}")
-    down = _packed(leq.T)                                 # row c: the set below c
-    up = _packed(leq)                                     # row c: the set above c
     idx = np.arange(n)
-    # the lookup is exact on a reflexive, antisymmetric relation
+    # the products are exact on a reflexive, antisymmetric relation
     if leq[idx, idx].all() and not (leq & leq.T & ~np.eye(n, dtype=bool)).any():
-        meet, join = _lookup_bounds(down), _lookup_bounds(up)
+        meet, join = _bounds_by_products(leq), _bounds_by_products(leq.T)
     else:
         meet, join = np.full((2, n, n), -1, dtype=np.intp)
-    # rows with a pair the lookup missed are derived from the definition, in
-    # row order, meet before join, so the first pair without a bound is named
-    for a in np.flatnonzero((meet < 0).any(axis=1) | (join < 0).any(axis=1)):
+    # rows with a pair the products missed are derived from the definition,
+    # in row order, meet before join, so the first pair without a bound is
+    # named
+    missed = np.flatnonzero((meet < 0).any(axis=1) | (join < 0).any(axis=1))
+    if len(missed):
+        down = _packed(leq.T)                             # row c: the set below c
+        up = _packed(leq)                                 # row c: the set above c
+    for a in missed:
         if (meet[a] < 0).any():
             meet[a] = _bounds_by_definition(labels, "meet", a, leq, down)
         if (join[a] < 0).any():
@@ -397,28 +415,67 @@ def _packed(rows: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
-def _lookup_bounds(sets: np.ndarray) -> np.ndarray:
-    """[a, b]: the element whose set is sets[a] & sets[b], or -1 if none.
+def _fingerprint_weights(n: int) -> np.ndarray:
+    """n fixed odd weights below 2**53 / n, as floats, so that a sum of up to
+    n of them is an exact float64 integer: the top bits of splitmix64
+    (Steele, Lea & Flood, OOPSLA 2014) of 1..n, with the lowest bit set."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11 + n.bit_length())) | np.uint64(1)).astype(np.float64)
 
-    The sets are the packed down-sets (for meets) or up-sets (for joins) of
-    a reflexive, antisymmetric relation.  There each set holds its own
-    element, so distinct elements have distinct sets, and an element c
-    whose set is the common set of a and b is their extreme common bound by
-    the definition: c lies in the common set, the common set lies in c's
-    set, and any other such element would bound c both ways.  In a partial
-    order the converse holds too, so only a relation that is not transitive
-    or a pair without a bound misses.  Each row is looked up among the
-    sorted sets, compared as byte strings, with one searchsorted.
+
+# a block of lookups stays within this many bytes per intermediate array
+_BLOCK_BYTES = 128 << 10
+
+
+def _bounds_by_products(rel: np.ndarray) -> np.ndarray:
+    """[a, b]: the element whose down-set is the common set of a and b
+    under ``rel``, or -1 where the lookup misses.
+
+    With the order L (L[x, a]: x <= a) this is the meet table, and with its
+    transpose the join table.  One matrix product names every common set:
+    H = L^T diag(r) L, where H[a, b] is the sum of the positive integer
+    weights r over the common set of a and b, so H[c, c] is the sum over
+    c's own down-set.  Every sum is exact, since the weights stay below
+    2**53 / n.  Each H[a, b] is looked up among the diagonal, and a hit c
+    counts only if H[c, a] = H[c, b] = H[c, c] = H[a, b].  With positive
+    weights, H[c, a] = H[c, c] says exactly that down(c) lies in down(a),
+    as no weight is left over, and likewise for b; then H[c, c] = H[a, b]
+    says that down(c) is the whole common set.  So the fingerprint only
+    names the candidate (Karp & Rabin, *IBM J. Res. Dev.* 31, 1987), and
+    the check is the set equality itself.  On a reflexive, antisymmetric
+    relation distinct elements have distinct down-sets, so such a c is the
+    extreme common bound by the definition (Davey & Priestley,
+    *Introduction to Lattices and Order*, 2002, ch. 2).  A miss, a pair
+    without a bound or one whose fingerprint collided with another
+    element's, is left at -1 for the definition scan.
+
+    H is symmetric, so only the pairs b >= a are looked up, in blocks of
+    rows whose intermediates stay within ``_BLOCK_BYTES``, and the lower
+    triangle is copied from the upper.
     """
-    n = len(sets)
-    keys = sets.view(np.dtype((np.void, sets.itemsize * sets.shape[1]))).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    n = len(rel)
+    ld = rel.astype(np.float64)
+    prints = (ld * _fingerprint_weights(n)[:, None]).T @ ld          # H
+    del ld
+    own = prints.diagonal()
+    order = np.argsort(own, kind="stable")
+    sorted_own = own[order]
+    idx = np.arange(n)
     table = np.empty((n, n), dtype=np.intp)
-    for a in range(n):
-        common = (sets[a] & sets).view(keys.dtype).ravel()
-        at = np.searchsorted(sorted_keys, common).clip(max=n - 1)
-        table[a] = np.where(sorted_keys[at] == common, order[at], -1)
+    step = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        h = prints[start:stop, start:]                                # [a, b], b >= start
+        at = np.searchsorted(sorted_own, h).clip(max=n - 1)
+        cand = order[at]
+        hit = sorted_own[at]
+        exact = ((hit == h) & (prints[cand, idx[start:stop, None]] == hit)
+                 & (prints[cand, idx[start:]] == hit))
+        table[start:stop, start:] = np.where(exact, cand, -1)
+    np.copyto(table, table.T, where=np.tri(n, k=-1, dtype=bool))
     return table
 
 
@@ -486,6 +543,11 @@ class ProjectionLattice(FiniteOML):
         return Projector(self.matrices[index])
 
 
+# one chunk of meets, the stacked pairs with the SVD's outputs and the meet
+# matrices (8 dim^2 complex entries a pair), stays within this many bytes
+_SVD_CHUNK_BYTES = 256 << 10
+
+
 def projection_oml(dim: int, projectors: Sequence[Projector], *,
                    tol: float = 1e-9,
                    max_elements: int = 64) -> ProjectionLattice:
@@ -496,13 +558,50 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
     :class:`ToleranceCollision`.  Closure past ``max_elements`` raises
     :class:`ClosureCapExceeded`.  The meet, one null space per pair, is the
     only numerical decision: a direction that both projectors move by at
-    most ``tol`` is shared.  The joins and the order are read off the meet
-    and complement tables, a v b = (a' ^ b')' and a <= b exactly when
-    a ^ b = a (Kalmbach, *Orthomodular Lattices*, 1983), so neither can
-    disagree with the meets.  The result carries the tables and the
-    projector matrices, in a canonical entrywise order.
+    most ``tol`` is shared.  The pairs go to :func:`null_space` in stacks,
+    each round's in chunks of at most ``_SVD_CHUNK_BYTES``.  The joins and
+    the order are read off the meet and complement tables, a v b =
+    (a' ^ b')' and a <= b exactly when a ^ b = a (Kalmbach, *Orthomodular
+    Lattices*, 1983), so neither can disagree with the meets.  The result
+    carries the tables and the projector matrices, in a canonical entrywise
+    order.
     """
     check_tol(tol)
+    stack, complement, pairs = _closure(dim, projectors, tol, max_elements)
+    n = len(stack)
+    order = sorted(range(n), key=lambda i: entry_key(stack[i], 12))
+    mats = stack[order]
+    pos = np.empty(n, dtype=np.intp)                      # old index -> sorted index
+    pos[order] = np.arange(n)
+
+    rows, cols, meets = pos[np.array(pairs, dtype=np.intp).T]
+    meet = np.empty((n, n), dtype=np.intp)
+    meet[rows, cols] = meet[cols, rows] = meets
+    ortho = np.empty(n, dtype=np.intp)
+    ortho[pos] = pos[complement]
+    join = ortho[meet[np.ix_(ortho, ortho)]]
+    leq = meet == np.arange(n)[:, None]
+    zero, one = int(pos[0]), int(pos[1])
+
+    labels = [f"P{i}" for i in range(n)]
+    labels[zero], labels[one] = "0", "1"
+    return ProjectionLattice(tuple(labels), leq, meet, join, ortho, zero, one,
+                             dim=dim, matrices=tuple(mats))
+
+
+def _closure(dim: int, projectors: Sequence[Projector], tol: float,
+             max_elements: int) -> tuple[np.ndarray, list[int], list[tuple[int, int, int]]]:
+    """The elements of the closure in the order found (0 and 1 first),
+    each one's complement, and each meet as a triple (i, j, meet of i and
+    j) over the pairs i <= j, for :func:`projection_oml`.
+
+    Each round pairs the elements found so far with the ones new in it; its
+    meets are decomposed in chunks of pairs, one ``null_space`` call on the
+    stacked chunk, and added in pair order, so a candidate that collides or
+    passes the cap raises where a pair-by-pair loop would, after at most a
+    chunk of SVDs more.  It is a function of its own so that its working
+    objects are gone before the lattice's laws are checked.
+    """
     # the elements found so far are stack[:count]; the buffer doubles when full
     stack = np.zeros((8, dim, dim), dtype=complex)
     stack[1] = np.eye(dim)
@@ -542,6 +641,14 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
     complement: list[int] = []
     pairs: list[tuple[int, int, int]] = []
     eye = np.eye(dim, dtype=complex)
+    per_chunk = max(1, _SVD_CHUNK_BYTES // (8 * dim * dim * 16))
+
+    def meets(chunk: list[tuple[int, int]]) -> list[np.ndarray]:
+        # the directions that both move by at most tol: the null spaces of
+        # the stacked [I - p_i; I - p_j], one SVD call for the chunk
+        gaps = (eye - stack[np.array(chunk)]).reshape(len(chunk), 2 * dim, dim)
+        return [basis @ basis.conj().T for basis in null_space(gaps, atol=tol)]
+
     done = 0
     while done < count:
         # complements first, so each round pairs a complement-closed set and
@@ -549,32 +656,11 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
         while len(complement) < count:
             complement.append(add(eye - stack[len(complement)]))
         done_now = count
-        for i in range(done_now):
-            for j in range(max(i, done), done_now):
-                # the meet: the directions that both move by at most tol
-                basis = null_space(np.vstack([eye - stack[i], eye - stack[j]]), atol=tol)
-                pairs.append((i, j, add(basis @ basis.conj().T)))
+        todo = ((i, j) for i in range(done_now) for j in range(max(i, done), done_now))
+        while chunk := list(islice(todo, per_chunk)):
+            pairs.extend((i, j, add(m)) for (i, j), m in zip(chunk, meets(chunk)))
         done = done_now
-
-    n = count
-    order = sorted(range(n), key=lambda i: entry_key(stack[i], 12))
-    mats = stack[order]
-    pos = np.empty(n, dtype=np.intp)                      # old index -> sorted index
-    pos[order] = np.arange(n)
-
-    rows, cols, meets = pos[np.array(pairs, dtype=np.intp).T]
-    meet = np.empty((n, n), dtype=np.intp)
-    meet[rows, cols] = meet[cols, rows] = meets
-    ortho = np.empty(n, dtype=np.intp)
-    ortho[pos] = pos[complement]
-    join = ortho[meet[np.ix_(ortho, ortho)]]
-    leq = meet == np.arange(n)[:, None]
-    zero, one = int(pos[0]), int(pos[1])
-
-    labels = [f"P{i}" for i in range(n)]
-    labels[zero], labels[one] = "0", "1"
-    return ProjectionLattice(tuple(labels), leq, meet, join, ortho, zero, one,
-                             dim=dim, matrices=tuple(mats))
+    return stack[:count], complement, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +896,7 @@ def _generalized(relation: str, u, v, nu, element, tol) -> GeneralizedReport:
         raise LatticeMismatch("words live on different lattices")
     states = [nu] if isinstance(nu, LatticeState) else list(nu)
     if not states:
-        raise ValueError("need at least one state")
+        raise InvalidArgument("need at least one state")
     elem_idx: int | None = None
     if element is not None:
         elem_idx = lat.index_of(element) if isinstance(element, str) else int(element)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NonRealTrace,
     NotOrthonormalFamily,
     SizeCapExceeded,
@@ -49,7 +50,10 @@ def check_tol(tol: float) -> None:
 
 def as_square_matrix(data, *, max_dim: int = MAX_DIM) -> np.ndarray:
     """Coerce to a read-only square complex ndarray, or raise."""
-    m = np.array(data, dtype=complex)
+    try:
+        m = np.array(data, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationFailure("numeric", 0.0, str(exc))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationFailure("square", 0.0, f"shape {m.shape}")
     check_dim(m.shape[0], max_dim=max_dim)
@@ -158,7 +162,7 @@ def validate(matrix, kind: str, tolerance: float = DEFAULT_TOL):
     try:
         cls = _KINDS[kind]
     except KeyError:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
+        raise InvalidArgument(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
     return cls(matrix, tolerance)
 
 
@@ -203,7 +207,7 @@ def born(sigma: DensityOperator, p: Projector) -> float:
 # commutants
 
 
-def null_space(a, atol: float = 0.0) -> np.ndarray:
+def null_space(a, atol: float = 0.0):
     """Orthonormal basis of the null space of ``a``, one vector per column.
 
     Singular values above both ``10 * max(s) * eps * max(M, N)`` and
@@ -213,12 +217,20 @@ def null_space(a, atol: float = 0.0) -> np.ndarray:
     inputs are themselves computed: in projector lattice closures the
     singular values that should be zero reach twice that cutoff, which would
     drop a dimension from a meet.
+
+    ``a`` may also be a stack of K matrices, (K, M, N).  They are decomposed
+    by one batched SVD, each under its own cutoff, and the result is the
+    list of their K bases, each the same array a call on that matrix alone
+    returns.
     """
     a = np.asarray(a)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = max(10 * np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape), atol)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    cutoff = np.maximum(10 * np.max(s, axis=-1, initial=0.0) * np.finfo(float).eps
+                        * max(a.shape[-2:]), atol)
+    ranks = np.sum(s > cutoff[..., None], axis=-1)
+    if a.ndim == 2:
+        return vh[ranks:].conj().T
+    return [v[r:].conj().T for v, r in zip(vh, ranks.tolist())]
 
 
 @dataclass(frozen=True)

@@ -43,3 +43,29 @@ def test_the_median_gap_is_weighed_against_the_parents_spread():
 def test_a_direction_other_than_higher_or_lower_is_refused():
     with pytest.raises(ValueError):
         bench_pairs.compare(PARENT, CHANGE, "faster")
+
+
+def test_a_median_worse_by_more_than_the_bound_is_past_it():
+    # parent median 11.0; 25% worse is 8.25 for "higher", 13.75 for "lower"
+    slower = [v - 3.0 for v in PARENT]                        # median 8.0
+    assert bench_pairs.against_bound(PARENT, slower, "higher", 0.25)["past_bound"] is True
+    assert bench_pairs.against_bound(PARENT, slower, "higher", 0.3)["past_bound"] is False
+    assert bench_pairs.against_bound(PARENT, slower, "lower", 0.25)["past_bound"] is False
+    larger = [v + 3.0 for v in PARENT]                        # median 14.0
+    assert bench_pairs.against_bound(PARENT, larger, "lower", 0.25)["past_bound"] is True
+    assert bench_pairs.against_bound(PARENT, larger, "higher", 0.25)["past_bound"] is False
+    # exactly at the bound is not past it
+    at = [v * 0.75 for v in PARENT]                           # median 8.25
+    assert bench_pairs.against_bound(PARENT, at, "higher", 0.25)["past_bound"] is False
+
+
+def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved():
+    # the parent's interquartile range is 2.5, 22.7% of its median 11.0
+    assert bench_pairs.against_bound(PARENT, CHANGE, "higher", 0.2)["unresolved"] is True
+    assert bench_pairs.against_bound(PARENT, CHANGE, "higher", 0.25)["unresolved"] is False
+    # unless every change run beats every parent run, in the metric's direction
+    above = [v + 10.0 for v in PARENT]                        # 18 and up, parent at most 14
+    assert bench_pairs.against_bound(PARENT, above, "higher", 0.2)["unresolved"] is False
+    assert bench_pairs.against_bound(PARENT, above, "lower", 0.2)["unresolved"] is True
+    below = [v - 7.0 for v in PARENT]                         # at most 7, parent 8 and up
+    assert bench_pairs.against_bound(PARENT, below, "lower", 0.2)["unresolved"] is False

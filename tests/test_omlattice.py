@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -530,6 +532,51 @@ def test_fallback_scans_run_only_where_a_fast_check_fails(monkeypatch):
     assert entered == {"_bounds_by_definition": 1}
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(relations(), larger_relations()))
+def test_from_order_matches_definition_when_fingerprints_collide(args):
+    # unit weights make every fingerprint a count, so elements with down-sets
+    # of one size collide; the exact check must send those pairs to the
+    # definition scan
+    want = outcome(lambda: brute_from_order(*args))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(omlattice, "_fingerprint_weights", lambda n: np.ones(n))
+        got = outcome(lambda: from_order(*args))
+    if want[0] in ("meet-exists", "join-exists"):
+        assert got[0] == want[0] and got[1].startswith(want[1])
+    else:
+        assert got == want
+
+
+def test_colliding_fingerprints_enter_the_definition_scan(monkeypatch):
+    scanned = []
+    real = omlattice._bounds_by_definition
+
+    def counted(labels, kind, a, *args):
+        scanned.append((kind, int(a)))
+        return real(labels, kind, a, *args)
+
+    monkeypatch.setattr(omlattice, "_bounds_by_definition", counted)
+    labels, leq, meet, join, ortho, zero, one = boolean_tables(3)
+    assert np.array_equal(from_order(labels, leq, ortho, zero, one).meet, meet)
+    assert scanned == []
+    monkeypatch.setattr(omlattice, "_fingerprint_weights", lambda n: np.ones(n))
+    lat = from_order(labels, leq, ortho, zero, one)
+    assert np.array_equal(lat.meet, meet) and np.array_equal(lat.join, join)
+    # by count alone, {0,1} ^ {1,2} = {1} is looked up as {0}, the first
+    # element whose down-set holds two elements, and {0} v {2} = {0,2} as
+    # {0,1}; the check refuses both, and the rows are derived again
+    assert ("meet", 3) in scanned and ("join", 1) in scanned
+
+
+def test_from_order_at_the_hard_cap_peaks_no_higher_than_the_lookup_by_keys():
+    # 61,388,286 bytes with one searchsorted per row over byte-string keys
+    # (numpy 2.4.6); the fingerprint blocks stay under the law checks' peak
+    labels, leq, _, _, ortho, zero, one = boolean_tables(10)
+    assert _peak_bytes(lambda: from_order(labels, leq, ortho, zero, one,
+                                          max_elements=1024)) <= 61_388_286
+
+
 def test_finite_oml_rejects_corrupted_tables():
     good = boolean_oml(1)
     meet = np.array(good.meet)
@@ -656,20 +703,63 @@ def test_projection_oml_joins_and_order_match_the_numeric_oracles(kind, seed):
 
 def test_projection_oml_takes_one_null_space_per_pair(monkeypatch):
     # a closure of n elements pairs each element with itself and every later
-    # one once: n (n + 1) / 2 meets, and no second decomposition for joins
-    calls = []
+    # one once: n (n + 1) / 2 meets, and no second decomposition for joins;
+    # the pairs go to null_space in stacks, so count the matrices
+    decomposed = []
     real = omlattice.null_space
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        decomposed.append(len(a) if np.ndim(a) == 3 else 1)
+        return real(a, *args, **kwargs)
 
     monkeypatch.setattr(omlattice, "null_space", counting)
     u = helpers.random_unitary(helpers.rng(0), 5)
     lat = projection_oml(5, [qcore.Projector(np.outer(u[:, k], u[:, k].conj()))
                              for k in range(5)])
     assert len(lat) == 32
-    assert len(calls) == 32 * 33 // 2 == 528
+    assert sum(decomposed) == 32 * 33 // 2 == 528
+    assert len(decomposed) < 528
+
+
+@pytest.mark.parametrize("kind", ["basis4", "lines3", "plane-line4"])
+def test_projection_oml_in_chunks_equals_pair_by_pair(kind, monkeypatch):
+    # the same tables, matrices and exceptions, bit for bit, whether a
+    # round's pairs go to null_space together or one at a time
+    dim, family = _projector_family(kind, helpers.rng(7))
+    projectors = [qcore.Projector(m) for m in family]
+
+    def build(**kwargs):
+        try:
+            lat = projection_oml(dim, projectors, **kwargs)
+        except (ClosureCapExceeded, ToleranceCollision) as exc:
+            return type(exc), str(exc)
+        return lat.labels, lat.meet.tobytes(), [m.tobytes() for m in lat.matrices]
+
+    for kwargs in ({}, {"max_elements": 5}, {"tol": 0.2}):
+        chunked = build(**kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(omlattice, "_SVD_CHUNK_BYTES", 1)
+            assert build(**kwargs) == chunked
+
+
+def _peak_bytes(build) -> int:
+    """tracemalloc's peak over a second call of ``build``, after a first
+    one has warmed every cache."""
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projection_oml_at_d6_peaks_no_higher_than_pair_by_pair():
+    # 460,327 bytes when each meet took a null_space call of its own
+    # (numpy 2.4.6); the chunks of stacked pairs stay within that
+    u = helpers.random_unitary(helpers.rng(0), 6)
+    family = [qcore.Projector(np.outer(u[:, k], u[:, k].conj())) for k in range(6)]
+    assert _peak_bytes(lambda: projection_oml(6, family)) <= 460_327
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])

@@ -228,6 +228,29 @@ def test_null_space_hand_cases():
     assert qcore.null_space(np.diag([1.0, 1e-11]), atol=1e-9).shape == (2, 1)
     assert qcore.null_space(np.diag([1.0, 1e-8]), atol=1e-9).shape == (2, 0)
     assert qcore.null_space(np.diag([1.0, 1e-15]), atol=1e-20).shape == (2, 1)
+    # in a stack each matrix is cut off at its own largest singular value
+    tiny, unit = qcore.null_space(np.array([1e-15 * np.eye(2), np.eye(2)]))
+    assert tiny.shape == unit.shape == (2, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 7), st.integers(1, 7), st.booleans(),
+       st.sampled_from([0.0, 1e-12, 1e-9]), st.integers(0, 2 ** 32 - 1))
+def test_a_stack_gives_each_matrix_the_basis_it_gets_alone(k, m, n, complex_, atol, seed):
+    # ranks and scales differ across the stack
+    gen = helpers.rng(seed)
+    stack = []
+    for _ in range(k):
+        rank = int(gen.integers(0, min(m, n) + 1))
+        left = gen.normal(size=(m, rank)) + (1j * gen.normal(size=(m, rank)) if complex_ else 0)
+        stack.append(left @ gen.normal(size=(rank, n)) * 10.0 ** gen.integers(-3, 4))
+    stack = np.array(stack)
+    got = qcore.null_space(stack, atol=atol)
+    assert isinstance(got, list) and len(got) == k
+    for one, basis in zip(stack, got):
+        alone = qcore.null_space(one, atol=atol)
+        assert basis.shape == alone.shape and basis.dtype == alone.dtype
+        assert np.array_equal(basis, alone)
 
 
 def test_commutant_dimensions():

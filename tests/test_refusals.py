@@ -131,6 +131,10 @@ REFUSALS = [
     ("compose_automorphisms, no automorphism",
      lambda: omlattice.compose_automorphisms([]),
      InvalidArgument, "empty automorphism word"),
+    ("generalized_equiv, no state",
+     lambda: (lambda auto: generalized_equiv(auto, auto, []))(
+         identity_automorphism(mo2_oml())),
+     InvalidArgument, "need at least one state"),
     ("run_protocol, a readout out of range",
      lambda: run_protocol(_scheme(None, None), [0], readout=[99]),
      IndexOutOfRange, "readout element 99 out of range"),
@@ -187,10 +191,27 @@ REFUSALS = [
     ("quotient, equiv_rho_P with no event",
      lambda: logic.quotient(_words("H"), "equiv_rho_P", qcore.DensityOperator(np.eye(2) / 2)),
      InvalidArgument, "equiv_rho_P needs an event"),
+    ("generator_set, an unknown label",
+     lambda: gates.generator_set("G4"),
+     InvalidArgument, "unknown generator set 'G4'; expected G1, G2 or G3"),
+    ("GateSpec, a wire that is no integer",
+     lambda: gates.GateSpec("H", ("a",), None),
+     InvalidWire, "invalid literal for int() with base 10: 'a'"),
+    ("EquivalenceReport, an unknown relation",
+     lambda: logic.EquivalenceReport("equiv_everything", True, 1e-9),
+     InvalidArgument, "unknown relation 'equiv_everything'"),
     ("enumerate_polynomials, a negative length",
      lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 1, -1),
      InvalidArgument, "max_len must be >= 0, got -1"),
     # qcore
+    ("validate, an unknown kind",
+     lambda: qcore.validate([[1]], "operator"),
+     InvalidArgument,
+     "unknown kind 'operator'; expected one of ['density', 'projector', 'unitary']"),
+    ("validate, an entry that is no number",
+     lambda: qcore.validate([["a"]], "density"),
+     ValidationFailure,
+     "invariant 'numeric' violated by 0.000e+00 (complex() arg is a malformed string)"),
     ("OperatorAlgebraBasis, an element of another dimension",
      lambda: qcore.OperatorAlgebraBasis(2, (np.eye(3),)),
      DimensionMismatch, "basis element dim 3 vs declared 2"),

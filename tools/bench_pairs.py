@@ -21,7 +21,11 @@ nothing there or under ``perfbench/`` is written.  The result goes to
 ``BENCH_12.json``: per workload and metric, each side's runs with their
 median and quartiles (``statistics.quantiles(values, n=4)``), the ratio of
 the medians, how many pairs the change won, and whether the gap between the
-medians exceeds the parent's interquartile range.
+medians exceeds the parent's interquartile range.  Each metric also records
+``past_bound``, the change's median worse than the parent's by more than the
+metric's bound, and ``unresolved``, the parent's interquartile range wider
+than the bound while some parent run is at least as good as some change
+run.  The metrics past their bound are printed to stderr.
 """
 
 from __future__ import annotations
@@ -63,6 +67,28 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
         "pairs": len(parent),
         "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+    }
+
+
+def against_bound(parent: list[float], change: list[float], better: str,
+                  bound: float) -> dict:
+    """Where one metric stands against its relative ``bound``.
+
+    ``past_bound``: the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median.  ``unresolved``: the parent's
+    interquartile range is wider than ``bound`` times its median, and not
+    every change run beats every parent run, so runs this spread cannot
+    tell a change within the bound from one past it.
+    """
+    p, c = summarize(parent), summarize(change)
+    sign = 1 if better == "higher" else -1
+    if better == "higher":
+        beats_all = min(change) > max(parent)
+    else:
+        beats_all = max(change) < min(parent)
+    return {
+        "past_bound": sign * (p["median"] - c["median"]) > bound * p["median"],
+        "unresolved": p["q3"] - p["q1"] > bound * p["median"] and not beats_all,
     }
 
 
@@ -121,9 +147,10 @@ def _workload(name: str, metrics: list[dict], roots: dict, seeds: list[int],
     }
     for m in metrics:
         runs = {s: [r["metrics"][m["name"]]["value"] for r in results[s]] for s in results}
-        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                     "bound": m["bound"],
-                                     **compare(runs["parent"], runs["change"], m["better"])}
+        out["metrics"][m["name"]] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            **compare(runs["parent"], runs["change"], m["better"]),
+            **against_bound(runs["parent"], runs["change"], m["better"], m["bound"])}
     return out
 
 
@@ -161,6 +188,12 @@ def main() -> int:
             name = w["name"]
             report["workloads"][name] = _workload(name, bench["end_to_end"], roots,
                                                   seeds, bench["run_seconds"])
+    for name, workload in report["workloads"].items():
+        for metric, row in workload["metrics"].items():
+            if row["past_bound"]:
+                print(f"past its bound: {name} {metric}, median {row['parent']['median']:.4g}"
+                      f" -> {row['change']['median']:.4g}, bound {row['bound']}",
+                      file=sys.stderr)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)
