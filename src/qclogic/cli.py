@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import algorithms, classical, gates, logic, omlattice, qcore
-from .errors import ParseError, QclError, ValidationFailure
+from .errors import InvalidArgument, ParseError, QclError, ValidationFailure
 
 
 def _round_floats(x):
@@ -215,6 +215,8 @@ def _cmd_boolean_recover(args) -> int:
     if not 1 <= bits <= 2:
         raise ValidationFailure("register-size", bits,
                                 "this demo closes the full event lattice; use 1 or 2 bits")
+    if args.cases < 1:
+        raise InvalidArgument(f"cases must be >= 1, got {args.cases}")
     dim = 2 ** bits
     basis = [qcore.Projector(_operator_matrix(f"basis:{k}", dim)) for k in range(dim)]
     states = [qcore.DensityOperator(p.matrix) for p in basis]

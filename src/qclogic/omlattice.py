@@ -4,7 +4,8 @@ A lattice is stored extensionally: labels, the full order relation, meet and
 join tables, and the orthocomplement map.  Construction checks the required
 laws (order axioms, glb/lub consistency, orthocomplement laws, the
 orthomodular law) in order and raises at the first that fails; glb and lub
-are checked on bitsets of down-sets and up-sets.  Lattice commutativity,
+are checked on the sizes of common down-sets and up-sets, exact counts read
+off one float32 product of the order each.  Lattice commutativity,
 associativity, absorption and order-consistency are theorems of the first
 six, so they are not computed.  Distributivity is only reported, since
 quantum event lattices fail it, and is decided by pairwise compatibility,
@@ -19,7 +20,8 @@ that closure decomposes its new pairs with batched SVDs, one call per chunk
 of pairs.  A lattice given by its order alone has its meet and join tables
 read off one matrix product of the order each: the product's entries are
 exact integer fingerprints of the common lower (upper) sets, which name each
-pair's bound, and an exact check on the same product confirms it.
+pair's bound, and an exact check on the same product confirms it; a row
+the products miss is derived from the definition, again by counts.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .qcore import (
     Projector,
     UnitaryGate,
     born,
+    check_dim,
     check_tol,
     entry_key,
     null_space,
@@ -129,9 +132,9 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
     bounds_bad = ~leq[zero, :] | ~leq[:, one]
     check("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
 
-    # meet/join against the order: decided on bitsets, and only a failing
-    # table is rescanned, one dense (b, c) slab per a from its first bad row,
-    # for the first witness
+    # meet/join against the order: decided on counts of common sets, and only
+    # a failing table is rescanned, one dense (b, c) slab per a from its
+    # first bad row, for the first witness
     leq_t = np.ascontiguousarray(leq.T)                  # [b, c] = leq[c, b]
 
     def meet_glb_slab(a: int) -> np.ndarray:
@@ -148,12 +151,26 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
         bad_least = leq[a, :] & leq & ~leq[j, :]
         return bad_upper[:, None] | bad_least
 
-    for law, rel, table, sets, slab in (
-            ("meet-is-glb", leq, meet, _packed(leq_t), meet_glb_slab),
-            ("join-is-lub", leq_t, join, _packed(leq), join_lub_slab)):
-        start = _first_bad_row(rel, table, sets)
-        if start is not None:
-            check(law, _first_triple(n, slab, start))
+    # with rel the order (rel[x, a]: x <= a) t = meet[a, b] is the greatest
+    # common lower bound when it is a common bound, rel[t, a] and rel[t, b],
+    # and its down-set is as large as the common down-set of a and b: by
+    # transitivity the one lies in the other, so equal sizes make them equal
+    # (Davey & Priestley, *Introduction to Lattices and Order*, 2002, ch.
+    # 2).  With the transposed order the same decides join-is-lub.  Every
+    # size is an entry of the exact count product rel^T rel.
+    for law, rel, rel_t, rf, table, slab in (
+            ("meet-is-glb", leq, leq_t, lf, meet, meet_glb_slab),
+            ("join-is-lub", leq_t, leq, lf.T, join, join_lub_slab)):
+        sizes = rf.T @ rf                                # [a, b]: |common set|
+        bad = ~(np.take_along_axis(rel_t, table, axis=1)     # rel[table[a, b], a]
+                & np.take_along_axis(rel, table, axis=0))    # rel[table[a, b], b]
+        bad |= sizes.diagonal().take(table) != sizes
+        del sizes
+        rows = bad.any(axis=1)
+        del bad
+        if rows.any():
+            check(law, _first_triple(n, slab, int(np.argmax(rows))))
+    del lf
 
     invol = ortho[ortho] != idx
     check("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
@@ -165,31 +182,6 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
     inner = meet[ortho]                                   # [a, b] = meet[ortho[a], b]
     om_rhs = join[idx[:, None], inner]                    # [a, b] = join[a, inner[a, b]]
     check("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
-
-
-def _first_bad_row(rel: np.ndarray, table: np.ndarray, sets: np.ndarray) -> int | None:
-    """The first a at which some table[a, b] is not the extreme common bound
-    of a and b, or None.
-
-    With ``rel`` the order and ``sets`` the packed down-sets (row c: the
-    set below c) this checks meet-is-glb; with the transposed order and the
-    up-sets, join-is-lub.  t = table[a, b] is extreme when it is a common
-    bound, rel[t, a] and rel[t, b], and the common set sets[a] & sets[b]
-    lies in sets[t] (Davey & Priestley, *Introduction to Lattices and
-    Order*, 2002, ch. 2): n^2 gathers and n^2 * ceil(n / 64) word
-    operations, one n x n word slab per word.
-    """
-    n = len(table)
-    idx = np.arange(n)
-    bad = ~(rel[table, idx[:, None]] & rel[table, idx[None, :]])
-    outside = np.empty((n, n), dtype=np.uint64)
-    for col in sets.T:                                   # one word of every set
-        np.take(~col, table, out=outside, mode="clip")   # [a, b]: outside table[a, b]
-        outside &= col[:, None]
-        outside &= col[None, :]
-        bad |= outside != 0
-    rows = bad.any(axis=1)
-    return int(np.argmax(rows)) if rows.any() else None
 
 
 def _distributive_report(labels, meet, join, ortho) -> LawReport:
@@ -395,35 +387,28 @@ def from_order(labels: Sequence[str], leq, ortho, zero: int, one: int,
     # in row order, meet before join, so the first pair without a bound is
     # named
     missed = np.flatnonzero((meet < 0).any(axis=1) | (join < 0).any(axis=1))
-    if len(missed):
-        down = _packed(leq.T)                             # row c: the set below c
-        up = _packed(leq)                                 # row c: the set above c
     for a in missed:
         if (meet[a] < 0).any():
-            meet[a] = _bounds_by_definition(labels, "meet", a, leq, down)
+            meet[a] = _bounds_by_definition(labels, "meet", a, leq)
         if (join[a] < 0).any():
-            join[a] = _bounds_by_definition(labels, "join", a, leq.T, up)
+            join[a] = _bounds_by_definition(labels, "join", a, leq.T)
     return FiniteOML(labels, leq, meet, join, np.asarray(ortho, dtype=np.intp),
                      zero, one)
-
-
-def _packed(rows: np.ndarray) -> np.ndarray:
-    """Each row of a boolean matrix as a bitset of uint64 words."""
-    n_rows, n = rows.shape
-    bits = np.zeros((n_rows, -(-n // 64) * 64), dtype=bool)
-    bits[:, :n] = rows
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:
     """n fixed odd weights below 2**53 / n, as floats, so that a sum of up to
     n of them is an exact float64 integer: the top bits of splitmix64
     (Steele, Lea & Flood, OOPSLA 2014) of 1..n, with the lowest bit set."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11 + n.bit_length())) | np.uint64(1)).astype(np.float64)
+    mask = (1 << 64) - 1
+    shift = 11 + n.bit_length()
+    weights = []
+    for i in range(1, n + 1):
+        z = i * 0x9E3779B97F4A7C15 & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        weights.append((z ^ z >> 31) >> shift | 1)
+    return np.array(weights, dtype=np.float64)
 
 
 # a block of lookups stays within this many bytes per intermediate array
@@ -479,14 +464,24 @@ def _bounds_by_products(rel: np.ndarray) -> np.ndarray:
     return table
 
 
-def _bounds_by_definition(labels, kind: str, a: int, rel: np.ndarray,
-                          sets: np.ndarray) -> np.ndarray:
-    """Row a of the meet (``rel`` the relation, ``sets`` its packed
-    down-sets) or join table (the transposed relation and the up-sets),
-    from the definition of the extreme common bound, which assumes nothing
-    of the relation; a pair without exactly one raises ``<kind>-exists``."""
+def _bounds_by_definition(labels, kind: str, a: int, rel: np.ndarray) -> np.ndarray:
+    """Row a of the meet (``rel`` the relation) or join table (the
+    transposed relation), from the definition of the extreme common bound,
+    which assumes nothing of the relation; a pair without exactly one
+    raises ``<kind>-exists``.
+
+    The candidates cand are the elements of a's own set (rel[x, a]).
+    cand[k] is the extreme common bound of a and b when it lies in b's set
+    and the whole common set of a and b lies in its own set, that is, when
+    as many elements of the common set lie in cand[k]'s set as there are in
+    the common set.  One product of counts, exact below 2**24, holds them
+    all: [k, b] counts the candidates in b's set and in cand[k]'s set.
+    """
     cand = np.flatnonzero(rel[:, a])
-    is_extreme = _extreme_bounds(a, cand, rel[cand, :], sets)
+    bounds = rel[cand, :]                                # [k, b]: cand[k] in b's set
+    common = bounds.astype(np.float32)
+    inside = rel[np.ix_(cand, cand)].astype(np.float32)  # [j, k]: cand[j] in cand[k]'s set
+    is_extreme = bounds & (inside.T @ common == common.sum(axis=0))
     counts = is_extreme.sum(axis=0)
     if (counts != 1).any():
         b = int(np.argmax(counts != 1))
@@ -495,24 +490,6 @@ def _bounds_by_definition(labels, kind: str, a: int, rel: np.ndarray,
             f"{kind}-exists", float(counts[b]),
             f"pair ({labels[a]}, {labels[b]}) has {counts[b]} {bound} bounds")
     return cand[np.argmax(is_extreme, axis=0)]
-
-
-def _extreme_bounds(a: int, cand: np.ndarray, bounds: np.ndarray,
-                    sets: np.ndarray) -> np.ndarray:
-    """[k, b]: is cand[k] the extreme common bound of a and b?
-
-    ``sets`` holds every element's lower sets (for the glb) or upper sets
-    (for the lub) as bitsets, ``cand`` the elements in a's set and
-    ``bounds[k, b]`` whether cand[k] is in b's set.  cand[k] is extreme when
-    the whole common set of a and b lies in its own set, which is the
-    definition itself and assumes nothing of the relation.
-    """
-    common = sets[a] & sets                               # [b, word]
-    outside = ~sets[cand]                                 # [k, word]
-    extreme = bounds.copy()
-    for w in range(sets.shape[1]):
-        extreme &= (outside[:, w, None] & common[None, :, w]) == 0
-    return extreme
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +543,7 @@ def projection_oml(dim: int, projectors: Sequence[Projector], *,
     carries the tables and the projector matrices, in a canonical entrywise
     order.
     """
+    check_dim(dim)
     check_tol(tol)
     stack, complement, pairs = _closure(dim, projectors, tol, max_elements)
     n = len(stack)
@@ -1052,6 +1030,8 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
         n = len(labels)
         if n > max_elements:
             raise SizeCapExceeded(f"{n} elements exceeds cap {max_elements}")
+        if len(set(labels)) != n:
+            raise ValidationFailure("labels-unique", 0.0)
         pos = {s: i for i, s in enumerate(labels)}
         leq = np.zeros((n, n), dtype=bool)
         for a, ups in obj["leq"].items():

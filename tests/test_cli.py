@@ -378,6 +378,16 @@ def test_lattice_verify_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_lattice_verify_refuses_a_repeated_label(tmp_path, capsys):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({
+        "elements": ["0", "a", "a", "1"], "leq": {"0": ["a", "1"], "a": ["1"]},
+        "ortho": {"0": "1", "a": "a", "1": "0"}, "zero": "0", "one": "1"}))
+    code, out, err = run_cli(capsys, "lattice-verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: invariant 'labels-unique' violated by 0.000e+00\n"
+
+
 @pytest.mark.parametrize("payload", [
     {"elements": ["0", "1"], "leq": [["0", "1"]],
      "ortho": {"0": "1", "1": "0"}, "zero": "0", "one": "1"},
@@ -540,6 +550,12 @@ def test_boolean_recover(capsys):
     assert code == 0 and payload["event_count"] == 4
     code, out, err = run_cli(capsys, "boolean-recover", "--bits", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_boolean_recover_without_a_case_is_exit_2(capsys, cases):
+    code, out, err = run_cli(capsys, "boolean-recover", "--cases", cases)
+    assert (code, out, err) == (2, "", f"error: cases must be >= 1, got {cases}\n")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -577,6 +577,14 @@ def test_from_order_at_the_hard_cap_peaks_no_higher_than_the_lookup_by_keys():
                                           max_elements=1024)) <= 61_388_286
 
 
+def test_finite_oml_at_the_hard_cap_peaks_no_higher_than_the_bitset_checks():
+    # 43,223,088 bytes when meet-is-glb and join-is-lub were decided on
+    # uint64 bitsets of the down-sets and up-sets (numpy 2.4.6)
+    labels, leq, meet, join, ortho, zero, one = boolean_tables(10)
+    assert _peak_bytes(lambda: FiniteOML(labels, leq, meet, join, ortho,
+                                         zero, one)) <= 43_223_088
+
+
 def test_finite_oml_rejects_corrupted_tables():
     good = boolean_oml(1)
     meet = np.array(good.meet)

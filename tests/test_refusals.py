@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qclogic import classical, gates, logic, omlattice, qcore
-from qclogic.cli import main
+from qclogic.cli import build_parser, main
 from qclogic.errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -77,6 +77,11 @@ def _words(*texts):
     return [gates.parse_word(t) for t in texts]
 
 
+def _cli_verb(*argv):
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
 _X0 = classical.Var(0)
 _P0 = qcore.Projector(np.diag([1.0, 0.0]))
 
@@ -107,6 +112,23 @@ REFUSALS = [
     ("from_order, an order of the wrong shape",
      lambda: from_order(("0", "1"), np.eye(3), [1, 0], 0, 1),
      ValidationFailure, "invariant 'table-shape' violated by 0.000e+00 (leq is (3, 3))"),
+    ("projection_oml, a negative dimension",
+     lambda: omlattice.projection_oml(-1, []),
+     ValidationFailure, "invariant 'nonempty' violated by 0.000e+00"),
+    ("projection_oml, dimension zero",
+     lambda: omlattice.projection_oml(0, []),
+     ValidationFailure, "invariant 'nonempty' violated by 0.000e+00"),
+    ("projection_oml, a dimension past the cap",
+     lambda: omlattice.projection_oml(qcore.MAX_DIM + 1, []),
+     SizeCapExceeded, f"dimension {qcore.MAX_DIM + 1} exceeds cap {qcore.MAX_DIM}"),
+    ("lattice_from_json, a repeated label",
+     lambda: omlattice.lattice_from_json(
+         {"elements": ["0", "a", "a", "1"], "leq": {"0": ["a", "1"], "a": ["1"]},
+          "ortho": {"0": "1", "a": "a", "1": "0"}, "zero": "0", "one": "1"}),
+     ValidationFailure, "invariant 'labels-unique' violated by 0.000e+00"),
+    ("boolean-recover, no case",
+     lambda: _cli_verb("boolean-recover", "--cases", "0"),
+     InvalidArgument, "cases must be >= 1, got 0"),
     ("ProjectionLattice, a matrix missing",
      lambda: ProjectionLattice(**_PAIR, dim=2, matrices=(np.zeros((2, 2)),)),
      ValidationFailure, "invariant 'matrices' violated by 0.000e+00 (one matrix per element)"),
