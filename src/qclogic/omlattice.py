@@ -5,7 +5,9 @@ join tables, and the orthocomplement map.  Construction checks the required
 laws (order axioms, glb/lub consistency, orthocomplement laws, the
 orthomodular law) in order and raises at the first that fails; glb and lub
 are checked on the sizes of common down-sets and up-sets, exact counts read
-off one float32 product of the order each.  Lattice commutativity,
+off one float32 product of the order each.  Each law is decided by one
+boolean mask, and its witness is read off that mask's first True entry,
+with no second scan.  Lattice commutativity,
 associativity, absorption and order-consistency are theorems of the first
 six, so they are not computed.  Distributivity is only reported, since
 quantum event lattices fail it, and is decided by pairwise compatibility,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,23 +84,13 @@ def _report(labels, law: str, witness: tuple[int, ...] | None) -> LawReport:
                      None if witness is None else tuple(labels[i] for i in witness))
 
 
-def _first_pair(mask: np.ndarray) -> tuple[int, ...] | None:
-    if not mask.any():
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The indices of the mask's first True entry in row-major order, or
+    None when it has none."""
+    k = int(np.argmax(mask))
+    if not mask.flat[k]:
         return None
-    a, b = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    return (int(a), int(b))
-
-
-def _first_triple(n: int, slab_for: Callable[[int], np.ndarray],
-                  start: int) -> tuple[int, ...] | None:
-    """The first (a, b, c) flagged, scanning one (b, c) slab per a from
-    ``start``; the callers know that no earlier slab flags anything."""
-    for a in range(start, n):
-        slab = slab_for(a)
-        if slab.any():
-            b, c = np.unravel_index(int(np.argmax(slab)), slab.shape)
-            return (a, int(b), int(c))
-    return None
+    return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
 def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
@@ -119,37 +111,15 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
                 law, 1.0, f"witness {tuple(labels[i] for i in witness)}")
 
     # order axioms
-    refl = ~leq[idx, idx]
-    check("reflexive", (int(np.argmax(refl)),) if refl.any() else None)
-    check("antisymmetric", _first_pair(leq & leq.T & ~np.eye(n, dtype=bool)))
+    check("reflexive", _first(~leq[idx, idx]))
+    check("antisymmetric", _first(leq & leq.T & ~np.eye(n, dtype=bool)))
     lf = leq.astype(np.float32)
     # exact: every entry of the product is a count <= n <= MAX_LATTICE < 2**24
-    closure = (lf @ lf > 0) & ~leq
-    if closure.any():
-        a, c = np.unravel_index(int(np.argmax(closure)), closure.shape)
-        b = int(np.argmax(leq[a, :] & leq[:, c]))
-        check("transitive", (int(a), b, int(c)))
-    bounds_bad = ~leq[zero, :] | ~leq[:, one]
-    check("bounded", (int(np.argmax(bounds_bad)),) if bounds_bad.any() else None)
-
-    # meet/join against the order: decided on counts of common sets, and only
-    # a failing table is rescanned, one dense (b, c) slab per a from its
-    # first bad row, for the first witness
-    leq_t = np.ascontiguousarray(leq.T)                  # [b, c] = leq[c, b]
-
-    def meet_glb_slab(a: int) -> np.ndarray:
-        m = meet[a]
-        bad_lower = ~(leq[m, a] & leq[m, idx])           # over b
-        # [b, c]: c <= a and c <= b, but c not <= meet[a, b]
-        bad_greatest = leq[:, a] & leq_t & ~leq_t[m]
-        return bad_lower[:, None] | bad_greatest
-
-    def join_lub_slab(a: int) -> np.ndarray:
-        j = join[a]
-        bad_upper = ~(leq[a, j] & leq[idx, j])           # over b
-        # [b, c]: a <= c and b <= c, but join[a, b] not <= c
-        bad_least = leq[a, :] & leq & ~leq[j, :]
-        return bad_upper[:, None] | bad_least
+    first = _first((lf @ lf > 0) & ~leq)
+    if first is not None:
+        a, c = first
+        check("transitive", (a, int(np.argmax(leq[a, :] & leq[:, c])), c))
+    check("bounded", _first(~leq[zero, :] | ~leq[:, one]))
 
     # with rel the order (rel[x, a]: x <= a) t = meet[a, b] is the greatest
     # common lower bound when it is a common bound, rel[t, a] and rel[t, b],
@@ -157,31 +127,35 @@ def _check_required_laws(labels, leq, meet, join, ortho, zero, one) -> None:
     # transitivity the one lies in the other, so equal sizes make them equal
     # (Davey & Priestley, *Introduction to Lattices and Order*, 2002, ch.
     # 2).  With the transposed order the same decides join-is-lub.  Every
-    # size is an entry of the exact count product rel^T rel.
-    for law, rel, rel_t, rf, table, slab in (
-            ("meet-is-glb", leq, leq_t, lf, meet, meet_glb_slab),
-            ("join-is-lub", leq_t, leq, lf.T, join, join_lub_slab)):
+    # size is an entry of the exact count product rel^T rel.  The first bad
+    # pair names the witness (a, b, c): c is 0 when t is not a common bound,
+    # and otherwise the first common bound outside t's set.
+    leq_t = np.ascontiguousarray(leq.T)                  # [b, c] = leq[c, b]
+    for law, rel, rel_t, rf, table in (("meet-is-glb", leq, leq_t, lf, meet),
+                                       ("join-is-lub", leq_t, leq, lf.T, join)):
         sizes = rf.T @ rf                                # [a, b]: |common set|
         bad = ~(np.take_along_axis(rel_t, table, axis=1)     # rel[table[a, b], a]
                 & np.take_along_axis(rel, table, axis=0))    # rel[table[a, b], b]
         bad |= sizes.diagonal().take(table) != sizes
         del sizes
-        rows = bad.any(axis=1)
+        first = _first(bad)
         del bad
-        if rows.any():
-            check(law, _first_triple(n, slab, int(np.argmax(rows))))
+        if first is not None:
+            a, b = first
+            t = table[a, b]
+            c = int(np.argmax(rel[:, a] & rel[:, b] & ~rel[:, t])) \
+                if rel[t, a] and rel[t, b] else 0
+            check(law, (a, b, c))
     del lf
 
-    invol = ortho[ortho] != idx
-    check("ortho-involution", (int(np.argmax(invol)),) if invol.any() else None)
-    comp_bad = (meet[idx, ortho] != zero) | (join[idx, ortho] != one)
-    check("ortho-complement", (int(np.argmax(comp_bad)),) if comp_bad.any() else None)
+    check("ortho-involution", _first(ortho[ortho] != idx))
+    check("ortho-complement", _first((meet[idx, ortho] != zero) | (join[idx, ortho] != one)))
     reversed_leq = leq[np.ix_(ortho, ortho)]             # [a, b] = leq[ortho[a], ortho[b]]
-    check("ortho-order-reversing", _first_pair(leq & ~reversed_leq.T))
+    check("ortho-order-reversing", _first(leq & ~reversed_leq.T))
 
     inner = meet[ortho]                                   # [a, b] = meet[ortho[a], b]
     om_rhs = join[idx[:, None], inner]                    # [a, b] = join[a, inner[a, b]]
-    check("orthomodular", _first_pair(leq & (om_rhs != idx[None, :])))
+    check("orthomodular", _first(leq & (om_rhs != idx[None, :])))
 
 
 def _distributive_report(labels, meet, join, ortho) -> LawReport:
@@ -190,28 +164,18 @@ def _distributive_report(labels, meet, join, ortho) -> LawReport:
     Such a lattice is distributive exactly when every pair is compatible,
     (a ^ b) v (a ^ b') = a, and a triple is distributive as soon as one of
     its elements is compatible with the other two (Foulis-Holland; Kalmbach,
-    *Orthomodular Lattices*, 1983).  So one n x n gather decides the law.
-    Only when some pair is not compatible is the first counterexample
-    searched for, one (b, c) slab per a from the first a that is not
-    compatible with everything.  The slab gathers write into buffers reused
-    for every a, since fresh n x n temporaries page-fault whenever the
-    allocator maps them anew; mode="clip" lets take write straight into
-    them, and never clips, since the tables are in range.
+    *Orthomodular Lattices*, 1983).  So one n x n gather decides the law,
+    and the first counterexample starts at the first a that is not
+    compatible with everything: only that a's (b, c) slab is built.
     """
     n = len(labels)
-    incompatible = (join[meet, meet[:, ortho]] != np.arange(n)[:, None]).any(axis=1)
-    if not incompatible.any():
+    first = _first((join[meet, meet[:, ortho]] != np.arange(n)[:, None]).any(axis=1))
+    if first is None:
         return LawReport("distributive", True)
-    lhs, rows, rhs = np.empty((3, n, n), dtype=np.intp)
-    differ = np.empty((n, n), dtype=bool)
-
-    def slab(a: int) -> np.ndarray:
-        ma = meet[a]
-        ma.take(join, out=lhs, mode="clip")                              # a ^ (b v c)
-        join.take(ma, axis=0, out=rows, mode="clip").take(ma, axis=1, out=rhs, mode="clip")
-        return np.not_equal(lhs, rhs, out=differ)                        # vs (a^b) v (a^c)
-    return _report(labels, "distributive",
-                   _first_triple(n, slab, int(np.argmax(incompatible))))
+    a, = first
+    ma = meet[a]
+    # a ^ (b v c) against (a ^ b) v (a ^ c)
+    return _report(labels, "distributive", first + _first(ma[join] != join[np.ix_(ma, ma)]))
 
 
 REQUIRED_LAWS = (
@@ -287,16 +251,12 @@ class FiniteOML:
             raise IndexOutOfRange(f"no element labeled {label!r}")
 
 
-def verify_laws(lattice: FiniteOML, *, include_informational: bool = True) -> list[LawReport]:
+def verify_laws(lattice: FiniteOML) -> list[LawReport]:
     """The law reports of a built lattice: every required law holds, since
     the constructor refused any table that breaks one and the tables are
-    read-only, followed by distributivity unless ``include_informational``
-    is false."""
-    reports = [LawReport(law, True) for law in REQUIRED_LAWS]
-    if include_informational:
-        reports.append(_distributive_report(lattice.labels, lattice.meet, lattice.join,
-                                            lattice.ortho))
-    return reports
+    read-only, followed by distributivity."""
+    return [LawReport(law, True) for law in REQUIRED_LAWS] + [
+        _distributive_report(lattice.labels, lattice.meet, lattice.join, lattice.ortho)]
 
 
 def atom_indices(lattice: FiniteOML) -> list[int]:
@@ -374,6 +334,8 @@ def from_order(labels: Sequence[str], leq, ortho, zero: int, one: int,
     n = len(labels)
     if n > max_elements:
         raise SizeCapExceeded(f"{n} elements exceeds cap {max_elements}")
+    if len(set(labels)) != n:
+        raise ValidationFailure("labels-unique", 0.0)
     leq = np.array(leq, dtype=bool)
     if leq.shape != (n, n):
         raise ValidationFailure("table-shape", 0.0, f"leq is {leq.shape}")
@@ -678,11 +640,10 @@ class LatticeState:
                                     float(abs(v[self.lattice.one] - 1.0)))
         lat = self.lattice
         orthogonal = lat.leq[:, lat.ortho]        # [a, b] = leq[a, ortho[b]]
-        gaps = np.abs(v[lat.join] - v[:, None] - v[None, :])
-        worst = float(np.max(np.where(orthogonal, gaps, 0.0)))
+        gaps = np.where(orthogonal, np.abs(v[lat.join] - v[:, None] - v[None, :]), 0.0)
+        a, b = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        worst = float(gaps[a, b])
         if worst > self.tolerance:
-            a, b = np.unravel_index(
-                int(np.argmax(np.where(orthogonal, gaps, 0.0))), gaps.shape)
             raise ValidationFailure(
                 "additive", worst,
                 f"on orthogonal pair ({lat.labels[a]}, {lat.labels[b]})")

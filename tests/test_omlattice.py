@@ -237,7 +237,7 @@ def test_verify_laws_equals_a_fresh_battery():
         fresh = helpers.law_battery(lat.labels, lat.leq, lat.meet, lat.join, lat.ortho,
                                     lat.zero, lat.one)
         assert verify_laws(lat) == fresh
-        assert verify_laws(lat, include_informational=False) == fresh[:-1]
+        assert verify_laws(lat)[:len(REQUIRED_LAWS)] == fresh[:-1]
 
 
 def battery_outcome(labels, leq, meet, join, ortho, zero, one):
@@ -409,8 +409,13 @@ def larger_lattices(draw):
         tables = mo_tables(draw(st.integers(1, 7)))
     else:
         tables = product_tables(lattice_tables(boolean_oml(0)), mo_tables(2))
+    return relabel(tables, draw(st.permutations(range(len(tables[0])))))
+
+
+def relabel(tables, perm):
+    """The same lattice with element i moved to index perm[i]."""
     labels, leq, meet, join, ortho, zero, one = tables
-    perm = np.array(draw(st.permutations(range(len(labels)))))   # old index -> new
+    perm = np.asarray(perm)
     back = np.argsort(perm)
     return (tuple(labels[i] for i in back), leq[np.ix_(back, back)],
             perm[meet[np.ix_(back, back)]], perm[join[np.ix_(back, back)]],
@@ -435,6 +440,45 @@ def larger_tables(draw):
 @given(larger_tables())
 def test_construction_and_distributivity_agree_with_the_battery_up_to_16_elements(tables):
     assert construction_outcome(*tables) == battery_outcome(*tables)
+
+
+def test_witnesses_past_16_elements_agree_with_the_battery():
+    # boolean_oml(3), 256 elements, element index = subset mask: a meet
+    # claimed outside the common down-set (witness c = 0, the empty set) or
+    # a common lower bound other than the greatest (c the first common bound
+    # outside its set), and the same for joins with up-sets
+    rng = np.random.default_rng(20)
+    masks = np.arange(256)
+    shapes = set()
+    for table in ("meet", "join"):
+        for _ in range(6):
+            labels, leq, meet, join, ortho, zero, one = lattice_tables(boolean_oml(3))
+            a, b = (int(x) for x in rng.integers(1, 255, size=2))
+            extreme, common = ((a & b, (masks & ~(a & b)) == 0) if table == "meet"
+                               else (a | b, ((a | b) & ~masks) == 0))
+            t = int(rng.choice(masks[common]) if rng.integers(2) else rng.integers(256))
+            if t == extreme:
+                continue
+            (meet if table == "meet" else join)[a, b] = t
+            tables = (labels, leq, meet, join, ortho, zero, one)
+            message = construction_outcome(*tables)
+            assert message == battery_outcome(*tables)
+            assert message.startswith(f"invariant '{table}-is-")
+            assert message.endswith(f"(witness {(labels[a], labels[b], '{}')})") != common[t]
+            shapes.add(bool(common[t]))
+    assert shapes == {True, False}
+
+    # B_2 x MO_2, 96 elements, with its 32 compatible elements (those whose
+    # MO_2 part, index % 6, is 0 or 1) first, so that the first
+    # counterexample starts at index 32
+    tables = product_tables(lattice_tables(boolean_oml(2)), mo_tables(2))
+    incompatible = np.arange(96) % 6 % 5 != 0
+    order = np.concatenate([rng.permutation(np.flatnonzero(~incompatible)),
+                            rng.permutation(np.flatnonzero(incompatible))])
+    tables = relabel(tables, np.argsort(order))
+    reports = construction_outcome(*tables)
+    assert reports == battery_outcome(*tables)
+    assert not reports[-1].holds and tables[0].index(reports[-1].witness[0]) == 32
 
 
 @st.composite
@@ -488,48 +532,32 @@ def boolean_tables(atoms: int):
 
 
 def test_fallback_scans_run_only_where_a_fast_check_fails(monkeypatch):
-    # _first_triple is the dense glb/lub rescan during construction and the
-    # distributivity slab scan in verify_laws; _bounds_by_definition is
-    # from_order's definition scan
-    entered = {}
-    for name in ("_first_triple", "_bounds_by_definition"):
-        def counted(*args, _name=name, _real=getattr(omlattice, name)):
-            entered[_name] = entered.get(_name, 0) + 1
-            return _real(*args)
-        monkeypatch.setattr(omlattice, name, counted)
+    # _bounds_by_definition is from_order's definition scan, entered only
+    # for rows the fingerprint lookup missed
+    scanned = []
+    real = omlattice._bounds_by_definition
 
-    def entries(step):
-        entered.clear()
-        return step(), dict(entered)
+    def counted(*args):
+        scanned.append(args[1])
+        return real(*args)
 
+    monkeypatch.setattr(omlattice, "_bounds_by_definition", counted)
     labels, leq, meet, join, ortho, zero, one = boolean_tables(10)
     for build in (lambda: boolean_oml(3),
                   lambda: lattice_from_json(shuffled_boolean_payload(5, 8)),
                   lambda: FiniteOML(labels, leq, meet, join, ortho, zero, one),
-                  lambda: from_order(labels, leq, ortho, zero, one, max_elements=1024)):
-        lat, seen = entries(build)
-        assert seen == {}
-        assert entries(lambda: verify_laws(lat))[1] == {}
-
-    lat, seen = entries(mo2_oml)
-    assert seen == {}
-    assert entries(lambda: verify_laws(lat))[1] == {"_first_triple": 1}
-
-    labels, leq, meet, join, ortho, zero, one = lattice_tables(boolean_oml(2))
-    meet[3, 5] = 5                               # {00,01} ^ {00,10} claimed to be {00,10}
-    entered.clear()
-    with pytest.raises(ValidationFailure, match="meet-is-glb"):
-        FiniteOML(labels, leq, meet, join, ortho, zero, one)
-    assert entered == {"_first_triple": 1}
+                  lambda: from_order(labels, leq, ortho, zero, one, max_elements=1024),
+                  mo2_oml):
+        verify_laws(build())
+        assert scanned == []
 
     # two atoms under two co-atoms: the atoms have no join
     leq = np.eye(6, dtype=bool)
     leq[0, :] = leq[:, 5] = True
     leq[1:3, 3:5] = True
-    entered.clear()
     with pytest.raises(ValidationFailure, match="join-exists"):
         from_order(tuple("0xypq1"), leq, [5, 0, 0, 0, 0, 0], 0, 5)
-    assert entered == {"_bounds_by_definition": 1}
+    assert scanned == ["join"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -658,7 +686,7 @@ def test_projection_oml_honours_tol_in_meets_and_joins():
     v = np.array([1.0, 0.0, 1e-11]) / np.linalg.norm([1.0, 0.0, 1e-11])
     line = np.outer(v, v)
     lat = projection_oml(3, [qcore.Projector(plane), qcore.Projector(line)], tol=1e-9)
-    assert all(r.holds for r in verify_laws(lat, include_informational=False))
+    assert all(r.holds for r in verify_laws(lat)[:len(REQUIRED_LAWS)])
     gaps = lambda m: [np.max(np.abs(e - m)) for e in lat.matrices]
     i = int(np.argmin(gaps(line)))
     j = int(np.argmin(gaps(plane)))
@@ -1136,7 +1164,7 @@ def test_lattice_from_json_takes_transitive_closure():
     }
     lat = lattice_from_json(obj2)
     assert lat.leq[0, 3]            # closure supplied 0 <= 1
-    assert all(r.holds for r in verify_laws(lat, include_informational=False))
+    assert all(r.holds for r in verify_laws(lat)[:len(REQUIRED_LAWS)])
     with pytest.raises(ValidationFailure):
         lattice_from_json({"elements": ["0"]})
 

@@ -82,6 +82,11 @@ def _cli_verb(*argv):
     return args.fn(args)
 
 
+# no pair of atoms has a join, so a repeated label must be refused first
+_TWO_ATOMS_UNDER_TWO_COATOMS = np.eye(6, dtype=bool)
+_TWO_ATOMS_UNDER_TWO_COATOMS[0, :] = _TWO_ATOMS_UNDER_TWO_COATOMS[:, 5] = True
+_TWO_ATOMS_UNDER_TWO_COATOMS[1:3, 3:5] = True
+
 _X0 = classical.Var(0)
 _P0 = qcore.Projector(np.diag([1.0, 0.0]))
 
@@ -112,6 +117,9 @@ REFUSALS = [
     ("from_order, an order of the wrong shape",
      lambda: from_order(("0", "1"), np.eye(3), [1, 0], 0, 1),
      ValidationFailure, "invariant 'table-shape' violated by 0.000e+00 (leq is (3, 3))"),
+    ("from_order, a repeated label",
+     lambda: from_order(tuple("0xxpq1"), _TWO_ATOMS_UNDER_TWO_COATOMS, [5, 0, 0, 0, 0, 0], 0, 5),
+     ValidationFailure, "invariant 'labels-unique' violated by 0.000e+00"),
     ("projection_oml, a negative dimension",
      lambda: omlattice.projection_oml(-1, []),
      ValidationFailure, "invariant 'nonempty' violated by 0.000e+00"),
