@@ -71,8 +71,16 @@ def _load_json_payload(token: str):
         raise ParseError("JSON payload nested too deeply")
 
 
+def _trailing_int(token: str) -> int:
+    """The integer after the colon of "basis:K" or "boolean:N"."""
+    try:
+        return int(token.split(":", 1)[1])
+    except ValueError:
+        raise ParseError(f"bad integer in {token!r}") from None
+
+
 def _basis_index(token: str, dim: int) -> int:
-    idx = int(token.split(":", 1)[1])
+    idx = _trailing_int(token)
     if not 0 <= idx < dim:
         raise ValidationFailure("basis-index", idx, f"dimension is {dim}")
     return idx
@@ -186,7 +194,7 @@ def _builtin_lattice(token: str) -> omlattice.FiniteOML:
     if token == "mo2":
         return omlattice.mo2_oml()
     if token.startswith("boolean:"):
-        return omlattice.boolean_oml(int(token.split(":", 1)[1]))
+        return omlattice.boolean_oml(_trailing_int(token))
     raise ValidationFailure("builtin-lattice", 0.0,
                             f"unknown builtin {token!r}; try boolean:N or mo2")
 

@@ -4,8 +4,9 @@ Conventions, fixed once for the whole package:
 
   * wire 0 is the leftmost tensor factor, so basis index
     i = sum_w bit_w * 2**(width-1-w) (wire 0 is the most significant bit);
-  * a word lists gates in time order; the composed matrix multiplies them
-    in reverse, last gate leftmost;
+  * a word lists gates in time order; one prefix engine multiplies every
+    word out, last gate leftmost: ``compose_word`` on the identity,
+    ``quotient`` on the state's factor;
   * a gate is applied by contracting its block against its wires' axes of
     a 2**width-row matrix; no full matrix of a single gate is formed;
   * H = (1/sqrt 2)[[1, 1], [1, -1]], T = diag(1, e^{i pi/4}),
@@ -169,6 +170,65 @@ def _apply(spec: GateSpec, m: np.ndarray, width: int) -> np.ndarray:
     return np.moveaxis(out, range(k), spec.wires).reshape(m.shape)
 
 
+def _take(states: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """states[:, idx, :], or ``states`` itself when idx lists its nodes in order."""
+    return states if list(idx) == list(range(states.shape[1])) else states[:, idx, :]
+
+
+def _evolve_words(words: list[GateWord], factor: np.ndarray) -> np.ndarray:
+    """U F for each word's product U, as a (dim, len(words), rank) array.
+
+    Every prefix of a listed word is a node of a trie, so any word list
+    takes this path.  The nodes of one length are evolved from their
+    parents with one kernel call per last letter, on the parents' blocks
+    side by side, and a length's states are dropped once the next length
+    is built.  Blocks already whole and in order, as on every length of
+    one word, are neither gathered, scattered nor copied out."""
+    width = words[0].width
+    dim, rank = factor.shape
+    # each distinct letter is numbered once, by object identity first, so
+    # that a GateSpec is hashed once per call rather than once per trie step
+    by_id: dict[int, int] = {}
+    numbers: dict[GateSpec, int] = {}
+    # levels[k] numbers the nodes of length k by (parent node, last letter's
+    # number); the root, the empty word, is node 0 of length 0
+    levels: list[dict] = [{}]
+    ends: list[list[tuple[int, int]]] = [[]]   # per length: (word, node)
+    for i, w in enumerate(words):
+        node = 0
+        for k, spec in enumerate(w.word, 1):
+            if k == len(levels):
+                levels.append({})
+                ends.append([])
+            letter = by_id.get(id(spec))
+            if letter is None:
+                letter = by_id[id(spec)] = numbers.setdefault(spec, len(numbers))
+            node = levels[k].setdefault((node, letter), len(levels[k]))
+        ends[len(w.word)].append((i, node))
+    letters = list(numbers)
+    out = np.empty((dim, len(words), rank), dtype=complex)
+    states, factor = factor[:, None, :], None     # a temporary factor dies with the root
+    for k, level in enumerate(levels):
+        if k:
+            groups: dict = {}
+            for (parent, letter), node in level.items():
+                groups.setdefault(letter, []).append((parent, node))
+            children = np.empty((dim, len(level), rank), dtype=complex) if len(groups) > 1 else None
+            for letter, pairs in groups.items():
+                parents, nodes = zip(*pairs)
+                block = _take(states, parents).reshape(dim, -1)
+                moved = _apply(letters[letter], block, width).reshape(dim, len(nodes), rank)
+                if len(groups) > 1:
+                    children[:, nodes, :] = moved
+            states = children if len(groups) > 1 else moved     # one letter, in order
+        if ends[k]:
+            ids, nodes = zip(*ends[k])
+            if len(ids) == len(words):      # this level holds every word, in order
+                return _take(states, nodes)
+            out[:, ids, :] = states[:, nodes, :]
+    return out
+
+
 def elementary(spec: GateSpec, width: int) -> UnitaryGate:
     """A gate on a register of ``width`` wires: the kernel applied to the
     identity, so the block acts on ``spec.wires`` and nothing else."""
@@ -199,12 +259,9 @@ class GateWord:
 
 
 def compose_word(word: GateWord) -> UnitaryGate:
-    """Multiply out a word, the last gate in time leftmost, applying each
-    gate with the kernel; only the product is validated."""
-    u = np.eye(register_dim(word.width), dtype=complex)
-    for spec in word.word:
-        u = _apply(spec, u, word.width)
-    return UnitaryGate(u)
+    """A word's product, last gate leftmost, validated once: the engine on the identity."""
+    dim = register_dim(word.width)
+    return UnitaryGate(_evolve_words([word], np.eye(dim, dtype=complex))[:, 0, :])
 
 
 def permutation_gate(perm: Sequence[int]) -> UnitaryGate:

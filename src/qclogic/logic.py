@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HierarchyViolation, InvalidArgument
-from .gates import GateSpec, GateWord, _apply, format_word
+from .gates import GateWord, _evolve_words, format_word
 from .qcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -373,58 +373,6 @@ def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mags = np.abs(lam)
     keep = mags > len(rho) * np.finfo(float).eps * mags.max()
     return vec[:, keep] * np.sqrt(mags[keep]), lam[keep] / mags[keep]
-
-
-def _evolve_words(words: list[GateWord], factor: np.ndarray) -> np.ndarray:
-    """U F for each word's product U, as a (dim, len(words), rank) array.
-
-    Every prefix of a listed word is a node of a trie, so any word list
-    takes this path.  The nodes of one length are evolved from their
-    parents with one kernel call per last letter, on the parents' blocks
-    side by side, and a length's states are dropped once the next length
-    is built.
-    """
-    width = words[0].width
-    dim, rank = factor.shape
-    # each distinct letter is numbered once, by object identity first, so
-    # that a GateSpec is hashed once per call rather than once per trie step
-    by_id: dict[int, int] = {}
-    numbers: dict[GateSpec, int] = {}
-    # levels[k] numbers the nodes of length k by (parent node, last letter's
-    # number); the root, the empty word, is node 0 of length 0
-    levels: list[dict] = [{}]
-    ends: list[list[tuple[int, int]]] = [[]]   # per length: (word, node)
-    for i, w in enumerate(words):
-        node = 0
-        for k, spec in enumerate(w.word, 1):
-            if k == len(levels):
-                levels.append({})
-                ends.append([])
-            letter = by_id.get(id(spec))
-            if letter is None:
-                letter = by_id[id(spec)] = numbers.setdefault(spec, len(numbers))
-            node = levels[k].setdefault((node, letter), len(levels[k]))
-        ends[len(w.word)].append((i, node))
-    letters = list(numbers)
-    out = np.empty((dim, len(words), rank), dtype=complex)
-    states = factor[:, None, :]
-    for k, level in enumerate(levels):
-        if k:
-            groups: dict = {}
-            for (parent, letter), node in level.items():
-                parents, nodes = groups.setdefault(letter, ([], []))
-                parents.append(parent)
-                nodes.append(node)
-            children = np.empty((dim, len(level), rank), dtype=complex)
-            for letter, (parents, nodes) in groups.items():
-                block = states[:, parents, :].reshape(dim, -1)
-                children[:, nodes, :] = _apply(letters[letter], block, width).reshape(
-                    dim, len(nodes), rank)
-            states = children
-        if ends[k]:
-            ids, nodes = zip(*ends[k])
-            out[:, ids, :] = states[:, nodes, :]
-    return out
 
 
 # a chunk of evolved factors, and a batch of invariants, stay within this

@@ -362,15 +362,12 @@ def _fingerprint_weights(n: int) -> np.ndarray:
     """n fixed odd weights below 2**53 / n, as floats, so that a sum of up to
     n of them is an exact float64 integer: the top bits of splitmix64
     (Steele, Lea & Flood, OOPSLA 2014) of 1..n, with the lowest bit set."""
-    mask = (1 << 64) - 1
-    shift = 11 + n.bit_length()
-    weights = []
-    for i in range(1, n + 1):
-        z = i * 0x9E3779B97F4A7C15 & mask
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
-        weights.append((z ^ z >> 31) >> shift | 1)
-    return np.array(weights, dtype=np.float64)
+    # uint64 products wrap mod 2**64, as splitmix64 does
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    shift = np.uint64(11 + n.bit_length())
+    return ((z ^ z >> np.uint64(31)) >> shift | np.uint64(1)).astype(np.float64)
 
 
 # a block of lookups stays within this many bytes per intermediate array

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the package's own code paths: matrix
 products are spelled out with plain numpy (or plain Python for the smallest
-cases) so expected values come from a second route.  The exception is
-``quotient_oracle``, which composes each word with the package's kernel: it
-is the per-word route that the prefix-shared ``quotient`` must reproduce.
+cases) so expected values come from a second route.  The exceptions are
+``quotient_oracle`` and ``compose_word_loop``, which apply the package's
+kernel one word and one letter at a time: they are the per-word routes that
+the prefix engine behind ``quotient`` and ``compose_word`` must reproduce.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 
 from qclogic import logic
-from qclogic.gates import compose_word, fourier_matrix
+from qclogic.gates import _apply, compose_word, fourier_matrix
 from qclogic.logic import EquivalenceReport, QuotientPartition
 from qclogic.omlattice import LawReport
 from qclogic.qcore import DensityOperator, Projector, entry_key
@@ -199,6 +200,31 @@ def dense_embedding(spec, width: int) -> np.ndarray:
         dst = [order[j] for j in range(width)] + [width + order[j] for j in range(width)]
         full = np.moveaxis(tens, src, dst).reshape(2 ** width, 2 ** width)
     return full
+
+
+def compose_word_loop(word) -> np.ndarray:
+    """A word's product with each letter applied by the kernel to a running
+    identity, last letter leftmost; the loop that the prefix engine
+    replaced in ``compose_word``."""
+    u = np.eye(2 ** word.width, dtype=complex)
+    for spec in word.word:
+        u = _apply(spec, u, word.width)
+    return u
+
+
+def splitmix64_weights(n: int) -> np.ndarray:
+    """``omlattice._fingerprint_weights`` one Python integer at a time: the
+    top bits of splitmix64 of 1..n with the lowest bit set, masked mod
+    2**64 after each product."""
+    mask = (1 << 64) - 1
+    shift = 11 + n.bit_length()
+    weights = []
+    for i in range(1, n + 1):
+        z = i * 0x9E3779B97F4A7C15 & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        weights.append((z ^ z >> 31) >> shift | 1)
+    return np.array(weights, dtype=np.float64)
 
 
 def dense_period_branches(n: int, r: int) -> np.ndarray:

@@ -442,6 +442,18 @@ def test_overflowing_or_deeply_nested_json_is_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["truth-table", "H", "--state", "basis:x"], "basis:x"),
+    (["truth-table", "H", "--state", "basis:0", "--event", "basis:"], "basis:"),
+    (["check-equiv", "H", "X", "--relation", "equiv_P", "--event", "basis:1.5"], "basis:1.5"),
+    (["lattice-verify", "--builtin", "boolean:x"], "boolean:x"),
+])
+def test_a_non_integer_index_is_a_parse_error(capsys, argv, token):
+    code, out, err = run_cli(capsys, *argv)
+    # a ParseError naming the token, not int()'s own message
+    assert (code, out, err) == (2, "", f"error: bad integer in {token!r}\n")
+
+
 def test_a_machine_with_an_infinite_width_is_a_parse_error():
     with pytest.raises(ParseError):
         classical.machine_from_json({"M": 1e400, "N": 1, "rows": {}})

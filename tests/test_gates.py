@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -164,6 +166,57 @@ def test_compose_word_matches_dense_embeddings(word):
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _seeded_words(count: int, seed: int) -> list[GateWord]:
+    """Words of width 1-5 and up to 8 gates over every gate name, QFT on
+    any wire subset in any order, drawn from one seeded generator."""
+    rnd = helpers.rng(seed)
+    words = []
+    for _ in range(count):
+        width = int(rnd.integers(1, 6))
+        names = [n for n in GATE_NAMES if gates.wire_count(n) <= width]
+        specs = []
+        for _ in range(int(rnd.integers(0, 9))):
+            name = names[int(rnd.integers(len(names)))]
+            k = int(rnd.integers(1, width + 1)) if name == "QFT" else gates.wire_count(name)
+            wires = tuple(int(w) for w in rnd.permutation(width)[:k])
+            param = float(rnd.uniform(-2 * math.pi, 2 * math.pi)) if name in ("R", "XX") else None
+            specs.append(GateSpec(name, wires, param))
+        words.append(GateWord(width, tuple(specs)))
+    return words
+
+
+def test_compose_word_equals_the_letter_loop_bit_for_bit():
+    words = _seeded_words(400, 21)
+    assert {s.name for w in words for s in w.word} == set(GATE_NAMES)
+    assert {w.width for w in words} == {1, 2, 3, 4, 5}
+    for word in words:
+        assert np.array_equal(gates.compose_word(word).matrix, helpers.compose_word_loop(word))
+
+
+def _kernel_callers() -> set[str]:
+    """Every top-level function or method in src/qclogic that calls
+    ``_apply``, as "module.function"."""
+    callers = set()
+    for path in sorted(pathlib.Path(gates.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            defs = [top] if isinstance(top, ast.FunctionDef) else [
+                d for d in getattr(top, "body", ()) if isinstance(d, ast.FunctionDef)]
+            for fn in defs:
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "_apply" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        callers.add(f"{path.stem}.{fn.name}")
+    return callers
+
+
+def test_only_the_word_engine_multiplies_words_with_the_kernel():
+    # compose_word and quotient both multiply words through _evolve_words;
+    # the other callers apply single gates
+    assert _kernel_callers() == {"gates._evolve_words", "gates.elementary",
+                                 "gates.toffoli_truth_value", "algorithms.deutsch_jozsa"}
 
 
 def test_elementary_matches_dense_embedding_exactly():

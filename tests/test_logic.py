@@ -713,7 +713,7 @@ def test_quotient_keeps_a_negative_eigenvalue_and_a_skew_part():
 def test_quotient_applies_each_letter_once_per_length(monkeypatch):
     calls, built = [], []
     kernel, check = gates._apply, qcore.UnitaryGate.__post_init__
-    monkeypatch.setattr(logic, "_apply", lambda spec, m, width: calls.append(
+    monkeypatch.setattr(gates, "_apply", lambda spec, m, width: calls.append(
         spec) or kernel(spec, m, width))
     monkeypatch.setattr(qcore.UnitaryGate, "__post_init__",
                         lambda self: built.append(self) or check(self))
@@ -728,3 +728,9 @@ def test_quotient_applies_each_letter_once_per_length(monkeypatch):
     assert len(calls) == len({(k, w.word[k - 1]) for w in picked
                               for k in range(1, len(w) + 1)})
     assert built == []              # no word is composed into a gate
+    # compose_word runs the same engine: one call per letter, one gate built
+    calls.clear()
+    chain = gates.parse_word("width=7; " + "; ".join(
+        ["H[0]", "CNOT[0,6]", "TOFFOLI[1,2,3]", "XX(0.4)[5,2]"] * 3))
+    gates.compose_word(chain)
+    assert calls == list(chain.word) and len(calls) == 12 and len(built) == 1

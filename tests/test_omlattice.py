@@ -597,6 +597,14 @@ def test_colliding_fingerprints_enter_the_definition_scan(monkeypatch):
     assert ("meet", 3) in scanned and ("join", 1) in scanned
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 16, 255, 256, 512, 1024])
+def test_fingerprint_weights_equal_scalar_splitmix64(n):
+    got = omlattice._fingerprint_weights(n)
+    assert got.dtype == np.float64 and np.array_equal(got, helpers.splitmix64_weights(n))
+    # odd and below 2**53 / n, so any n of them sum exactly
+    assert (got % 2 == 1).all() and got.max() * n < 2.0 ** 53
+
+
 def test_from_order_at_the_hard_cap_peaks_no_higher_than_the_lookup_by_keys():
     # 61,388,286 bytes with one searchsorted per row over byte-string keys
     # (numpy 2.4.6); the fingerprint blocks stay under the law checks' peak

@@ -17,6 +17,7 @@ from qclogic.errors import (
     InvalidWire,
     LatticeMismatch,
     NotOrthonormalFamily,
+    ParseError,
     SizeCapExceeded,
     UnknownInput,
     ValidationFailure,
@@ -137,6 +138,15 @@ REFUSALS = [
     ("boolean-recover, no case",
      lambda: _cli_verb("boolean-recover", "--cases", "0"),
      InvalidArgument, "cases must be >= 1, got 0"),
+    ("lattice-verify, a Boolean lattice of no integer size",
+     lambda: _cli_verb("lattice-verify", "--builtin", "boolean:x"),
+     ParseError, "bad integer in 'boolean:x'"),
+    ("truth-table, a basis state of no integer index",
+     lambda: _cli_verb("truth-table", "H", "--state", "basis:x"),
+     ParseError, "bad integer in 'basis:x'"),
+    ("truth-table, a basis event of no index",
+     lambda: _cli_verb("truth-table", "H", "--state", "basis:0", "--event", "basis:"),
+     ParseError, "bad integer in 'basis:'"),
     ("ProjectionLattice, a matrix missing",
      lambda: ProjectionLattice(**_PAIR, dim=2, matrices=(np.zeros((2, 2)),)),
      ValidationFailure, "invariant 'matrices' violated by 0.000e+00 (one matrix per element)"),
