@@ -24,7 +24,14 @@ from .errors import (
     WidthMismatch,
 )
 from .gates import GateSpec, _apply, fourier_matrix, permutation_gate
-from .qcore import DEFAULT_TOL, UnitaryGate, _probability, check_dim
+from .qcore import (
+    DEFAULT_TOL,
+    UnitaryGate,
+    _probability,
+    _strict_int,
+    _strict_list,
+    check_dim,
+)
 
 # the most draws period_find takes in one run
 MAX_SAMPLES = 10 ** 6
@@ -77,7 +84,7 @@ def one_bit_functions() -> dict[str, OracleFunction]:
 def oracle_from_json(obj: dict) -> OracleFunction:
     """Parse ``{"n": ..., "m": ..., "table": {...}}``."""
     try:
-        return OracleFunction(int(obj["n"]), int(obj["m"]), dict(obj["table"]))
+        return OracleFunction(_strict_int(obj["n"]), _strict_int(obj["m"]), dict(obj["table"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad oracle payload: {exc}")
 
@@ -173,10 +180,11 @@ def qft(n: int) -> UnitaryGate:
 class PeriodicSpec:
     """An r-periodic, within-period injective function on Z_N.
 
-    ``values[x]`` may be any integers; what matters is the coincidence
-    pattern f(x) = f(x + r).  r must divide N, and the first r values must
-    be pairwise distinct, otherwise the declared period is wrong and
-    :class:`InvalidSpec` is raised.
+    ``values[x]`` may be any integers, Python's or numpy's, but no bools,
+    floats or strings; what matters is the coincidence pattern f(x) =
+    f(x + r).  r must divide N, and the first r values must be pairwise
+    distinct, otherwise the declared period is wrong and :class:`InvalidSpec`
+    is raised.
     """
 
     modulus: int
@@ -189,7 +197,10 @@ class PeriodicSpec:
             raise InvalidSpec(f"need N >= 1 and r >= 1, got N={n} r={r}")
         if n % r != 0:
             raise InvalidSpec(f"period {r} does not divide N={n}")
-        vals = tuple(int(v) for v in self.values)
+        try:
+            vals = tuple(_strict_int(v) for v in self.values)
+        except ValueError as exc:
+            raise InvalidSpec(f"values must be integers: {exc}") from None
         if len(vals) != n:
             raise InvalidSpec(f"{len(vals)} values for modulus {n}")
         object.__setattr__(self, "values", vals)
@@ -203,7 +214,8 @@ class PeriodicSpec:
 def periodic_from_json(obj: dict) -> PeriodicSpec:
     """Parse ``{"N": ..., "r": ..., "f": [...]}``."""
     try:
-        return PeriodicSpec(int(obj["N"]), int(obj["r"]), tuple(obj["f"]))
+        return PeriodicSpec(_strict_int(obj["N"]), _strict_int(obj["r"]),
+                            tuple(_strict_int(v) for v in _strict_list(obj["f"])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad periodic spec payload: {exc}")
 

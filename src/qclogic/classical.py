@@ -25,6 +25,7 @@ from .errors import (
     UnknownInput,
     ValidationFailure,
 )
+from .qcore import _strict_int
 
 # truth tables of the generating gates, written out rather than derived
 _NOT = {(0,): 1, (1,): 0}
@@ -407,6 +408,6 @@ def machine_to_json(machine: StochasticOutput) -> dict:
 def machine_from_json(obj: dict) -> StochasticOutput:
     """Inverse of :func:`machine_to_json`; constructor revalidates."""
     try:
-        return StochasticOutput(int(obj["M"]), int(obj["N"]), dict(obj["rows"]))
+        return StochasticOutput(_strict_int(obj["M"]), _strict_int(obj["N"]), dict(obj["rows"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad stochastic table payload: {exc}")

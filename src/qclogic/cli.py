@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -72,11 +73,12 @@ def _load_json_payload(token: str):
 
 
 def _trailing_int(token: str) -> int:
-    """The integer after the colon of "basis:K" or "boolean:N"."""
-    try:
-        return int(token.split(":", 1)[1])
-    except ValueError:
-        raise ParseError(f"bad integer in {token!r}") from None
+    """The integer after the colon of "basis:K" or "boolean:N": an optional
+    minus sign and ASCII digits, nothing else (no space, "+" or "_")."""
+    text = token.split(":", 1)[1]
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ParseError(f"bad integer in {token!r}")
+    return int(text)
 
 
 def _basis_index(token: str, dim: int) -> int:

@@ -28,6 +28,7 @@ the products miss is derived from the definition, again by counts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -46,10 +47,12 @@ from .errors import (
     ValidationFailure,
 )
 from .qcore import (
+    DEFAULT_TOL,
     DensityOperator,
     Projector,
     UnitaryGate,
-    born,
+    _probability,
+    _strict_list,
     check_dim,
     check_tol,
     entry_key,
@@ -671,7 +674,9 @@ def gleason_state(rho: DensityOperator, lattice: ProjectionLattice) -> LatticeSt
         raise LatticeMismatch("gleason_state needs a ProjectionLattice")
     if rho.dim != lattice.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs lattice dim {lattice.dim}")
-    values = [born(rho, Projector(m)) for m in lattice.matrices]
+    # Tr(rho P) as born pairs it, on the matrices the lattice validated
+    tol = max(rho.tolerance, DEFAULT_TOL)
+    values = [_probability(complex(np.trace(rho.matrix @ m)), tol) for m in lattice.matrices]
     return LatticeState(lattice, np.array(values), tolerance=1e-9, zero_atol=1e-9)
 
 
@@ -720,15 +725,7 @@ def compose_automorphisms(word: Sequence[LatticeAutomorphism]) -> LatticeAutomor
     Event maps compose contravariantly: running g then h acts on events as
     g(h(.)), matching (HG)* P (HG) = G*(H* P H) G for unitaries.
     """
-    if not word:
-        raise InvalidArgument("empty automorphism word")
-    lat = word[0].lattice
-    mapping = np.arange(len(lat))
-    for auto in reversed(list(word)):
-        if auto.lattice is not lat:
-            raise LatticeMismatch("automorphisms live on different lattices")
-        mapping = auto.mapping[mapping]
-    return LatticeAutomorphism(lat, mapping)
+    return LatticeAutomorphism(*_composite(list(word)))
 
 
 def permutation_automorphism(lattice: FiniteOML, atom_perm: Sequence[int]) -> LatticeAutomorphism:
@@ -745,14 +742,9 @@ def permutation_automorphism(lattice: FiniteOML, atom_perm: Sequence[int]) -> La
         raise LatticeMismatch(f"{n} elements is not a Boolean lattice on {k} atoms")
     if sorted(atom_perm) != list(range(k)):
         raise ValidationFailure("permutation", 0.0, f"{atom_perm!r}")
-    mapping = np.zeros(n, dtype=np.intp)
-    for mask in range(n):
-        pre = 0
-        for bit in range(k):
-            if (mask >> atom_perm[bit]) & 1:
-                pre |= 1 << bit
-        mapping[mask] = pre
-    return LatticeAutomorphism(lattice, mapping)
+    # bit b of the preimage of a mask is its bit atom_perm[b]
+    bits = np.arange(n)[:, None] >> np.array(atom_perm, dtype=np.intp) & 1
+    return LatticeAutomorphism(lattice, (bits << np.arange(k)).sum(axis=1))
 
 
 def unitary_automorphism(u: UnitaryGate, lattice: ProjectionLattice, *,
@@ -795,10 +787,36 @@ def pushforward(auto: LatticeAutomorphism, state: LatticeState) -> LatticeState:
 # generalized relations and superposition
 
 
-def _as_composite(word) -> LatticeAutomorphism:
+def _composite(word) -> tuple[FiniteOML, np.ndarray]:
+    """The lattice and event map, one index array, of an automorphism or a
+    nonempty word of them in time order.  Automorphisms preserve meets and
+    complements, so callers read a valid state's ``values[mapping]`` as is."""
     if isinstance(word, LatticeAutomorphism):
-        return word
-    return compose_automorphisms(list(word))
+        return word.lattice, word.mapping
+    word = list(word)
+    if not word:
+        raise InvalidArgument("empty automorphism word")
+    if bad := [auto for auto in word if not isinstance(auto, LatticeAutomorphism)]:
+        raise InvalidArgument(f"word letter {bad[0]!r} is not a LatticeAutomorphism")
+    lat = word[0].lattice
+    mapping = np.arange(len(lat))
+    for auto in reversed(word):
+        if auto.lattice is not lat:
+            raise LatticeMismatch("automorphisms live on different lattices")
+        mapping = auto.mapping[mapping]
+    return lat, mapping
+
+
+def _index(x, n: int, what: str) -> int:
+    """``x`` as an index below ``n`` if ``operator.index`` takes it, or an
+    IndexOutOfRange whose message starts with ``what``."""
+    try:
+        i = operator.index(x)
+    except TypeError:
+        raise IndexOutOfRange(f"{what} is a {type(x).__name__}, not an integer") from None
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"{what} out of range")
+    return i
 
 
 @dataclass(frozen=True)
@@ -825,41 +843,33 @@ class GeneralizedReport:
 
 def _generalized(relation: str, u, v, nu, element, tol) -> GeneralizedReport:
     check_tol(tol)
-    fu = _as_composite(u)
-    fv = _as_composite(v)
-    lat = fu.lattice
-    if fv.lattice is not lat:
+    lat, fu = _composite(u)
+    lat_v, fv = _composite(v)
+    if lat_v is not lat:
         raise LatticeMismatch("words live on different lattices")
     states = [nu] if isinstance(nu, LatticeState) else list(nu)
     if not states:
         raise InvalidArgument("need at least one state")
-    elem_idx: int | None = None
+    idx = np.arange(len(lat))
     if element is not None:
-        elem_idx = lat.index_of(element) if isinstance(element, str) else int(element)
-        if not 0 <= elem_idx < len(lat):
-            raise IndexOutOfRange(f"element {element!r} out of range")
+        idx = idx[[lat.index_of(element) if isinstance(element, str)
+                   else _index(element, len(lat), f"element {element!r}")]]
     for si, state in enumerate(states):
         if state.lattice is not lat:
             raise LatticeMismatch(f"state {si} lives on a different lattice")
-        a = state.values[fu.mapping]
-        b = state.values[fv.mapping]
-        if elem_idx is not None:
-            a = a[elem_idx:elem_idx + 1]
-            b = b[elem_idx:elem_idx + 1]
+        a = state.values[fu[idx]]
+        b = state.values[fv[idx]]
         bad = (np.abs(a - b) > tol) if relation == "generalized_equiv" \
             else (a > b + tol)
         if bad.any():
             w = int(np.argmax(bad))
-            widx = elem_idx if elem_idx is not None else w
             return GeneralizedReport(
                 relation, False, tol, lhs=float(a[w]), rhs=float(b[w]),
-                witness_element=lat.labels[widx],
+                witness_element=lat.labels[idx[w]],
                 witness_state=si if len(states) > 1 else None)
-    lhs = rhs = None
-    if elem_idx is not None and len(states) == 1:
-        lhs = float(states[0].values[fu.mapping][elem_idx])
-        rhs = float(states[0].values[fv.mapping][elem_idx])
-    return GeneralizedReport(relation, True, tol, lhs=lhs, rhs=rhs)
+    if element is not None and len(states) == 1:
+        return GeneralizedReport(relation, True, tol, lhs=float(a[0]), rhs=float(b[0]))
+    return GeneralizedReport(relation, True, tol)
 
 
 def generalized_equiv(u, v, nu, element=None, tol: float = 1e-9) -> GeneralizedReport:
@@ -890,17 +900,13 @@ def is_superposition(nu: LatticeState, family: Sequence[LatticeState],
     if threshold is not None:
         check_tol(threshold)
     lat = nu.lattice
+    killed = np.ones(len(lat), dtype=bool)
     for mu in family:
         if mu.lattice is not lat:
             raise LatticeMismatch("family state lives on a different lattice")
-    nu_cut = threshold if threshold is not None else nu.zero_atol
-    for x in range(len(lat)):
-        all_zero = all(
-            mu.values[x] <= (threshold if threshold is not None else mu.zero_atol)
-            for mu in family)
-        if all_zero and nu.values[x] > nu_cut:
-            return False, lat.labels[x]
-    return True, None
+        killed &= mu.values <= (threshold if threshold is not None else mu.zero_atol)
+    first = _first(killed & (nu.values > (threshold if threshold is not None else nu.zero_atol)))
+    return (True, None) if first is None else (False, lat.labels[first[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -936,26 +942,20 @@ def run_protocol(scheme: ComputationalScheme, word: Sequence[int],
                  readout: Sequence[int | str] | None = None) -> dict[str, float]:
     """Run a gate word (indices into the scheme's generators) and read out.
 
-    The initial state is pushed forward through each generator in time
-    order; the result maps each readout element's label to its probability.
-    ``readout`` defaults to every element.
+    The initial state is pushed forward through the word, composed into
+    one event map; the result maps each readout element's label to its
+    probability.  ``readout`` defaults to every element.
     """
-    state = scheme.states[scheme.initial]
-    for gi in word:
-        if not 0 <= gi < len(scheme.generators):
-            raise IndexOutOfRange(f"generator index {gi} out of range")
-        state = pushforward(scheme.generators[gi], state)
+    n_gen = len(scheme.generators)
+    autos = [scheme.generators[_index(gi, n_gen, f"generator index {gi}")] for gi in word]
+    values = scheme.states[scheme.initial].values
+    if autos:
+        values = values[_composite(autos)[1]]
     lat = scheme.lattice
-    if readout is None:
-        indices = list(range(len(lat)))
-    else:
-        indices = []
-        for r in readout:
-            i = lat.index_of(r) if isinstance(r, str) else int(r)
-            if not 0 <= i < len(lat):
-                raise IndexOutOfRange(f"readout element {r!r} out of range")
-            indices.append(i)
-    return {lat.labels[i]: float(state.values[i]) for i in indices}
+    indices = range(len(lat)) if readout is None else [
+        lat.index_of(r) if isinstance(r, str)
+        else _index(r, len(lat), f"readout element {r!r}") for r in readout]
+    return {lat.labels[i]: float(values[i]) for i in indices}
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +984,7 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
     is the intended order; the closure is taken before validation.
     """
     try:
-        labels = [str(s) for s in obj["elements"]]
+        labels = [str(s) for s in _strict_list(obj["elements"])]
         n = len(labels)
         if n > max_elements:
             raise SizeCapExceeded(f"{n} elements exceeds cap {max_elements}")

@@ -380,7 +380,23 @@ def boolean_projections(
 
 
 # ---------------------------------------------------------------------------
-# matrix JSON interchange
+# JSON interchange
+
+
+def _strict_int(x) -> int:
+    """A field documented as an integer: a Python or numpy integer other than
+    a bool, as a Python int.  Anything else raises ValueError, which each
+    JSON reader turns into its own refusal."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {type(x).__name__}")
+    return int(x)
+
+
+def _strict_list(x) -> list:
+    """A field documented as a list; anything else raises ValueError."""
+    if not isinstance(x, list):
+        raise ValueError(f"expected a list, got {type(x).__name__}")
+    return x
 
 
 def matrix_to_json(matrix) -> dict:
@@ -397,11 +413,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; validates the dimension against
     the cap before allocating, and the type and length of ``re`` and ``im``."""
     try:
-        dim = int(obj["dim"])
+        dim = _strict_int(obj["dim"])
         re = obj["re"]
     except (KeyError, TypeError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"missing field: {exc}")
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValidationFailure("matrix-json", 0.0, f"bad dim: {exc}")
     check_dim(dim)
     im = obj["im"] if "im" in obj else [0.0] * (dim * dim)

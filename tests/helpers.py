@@ -6,6 +6,10 @@ cases) so expected values come from a second route.  The exceptions are
 ``quotient_oracle`` and ``compose_word_loop``, which apply the package's
 kernel one word and one letter at a time: they are the per-word routes that
 the prefix engine behind ``quotient`` and ``compose_word`` must reproduce.
+So are the scheme-layer references at the end, which go through the
+validated objects (``pushforward``, ``compose_automorphisms``, ``born`` on a
+``Projector``) and loop over elements, where the package composes one index
+array and reads masks.
 """
 
 from __future__ import annotations
@@ -17,8 +21,15 @@ import numpy as np
 from qclogic import logic
 from qclogic.gates import _apply, compose_word, fourier_matrix
 from qclogic.logic import EquivalenceReport, QuotientPartition
-from qclogic.omlattice import LawReport
-from qclogic.qcore import DensityOperator, Projector, entry_key
+from qclogic.omlattice import (
+    GeneralizedReport,
+    LatticeAutomorphism,
+    LatticeState,
+    LawReport,
+    compose_automorphisms,
+    pushforward,
+)
+from qclogic.qcore import DensityOperator, Projector, born, entry_key
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -380,3 +391,76 @@ def law_battery(labels, leq, meet, join, ortho, zero, one) -> list[LawReport]:
 
     report("distributive", _first_triple(n, distributive_slab))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the scheme layer, one validated object at a time
+
+
+def run_protocol_by_pushforward(scheme, word, readout=None) -> dict[str, float]:
+    """``run_protocol`` with the initial state pushed forward, and validated
+    again, through one generator at a time."""
+    state = scheme.states[scheme.initial]
+    for gi in word:
+        state = pushforward(scheme.generators[gi], state)
+    lat = scheme.lattice
+    indices = range(len(lat)) if readout is None else [
+        lat.index_of(r) if isinstance(r, str) else int(r) for r in readout]
+    return {lat.labels[i]: float(state.values[i]) for i in indices}
+
+
+def generalized_by_pushforward(relation: str, u, v, nu, element=None,
+                               tol: float = 1e-9) -> GeneralizedReport:
+    """``generalized_equiv`` or ``generalized_leq``, each word composed by
+    ``compose_automorphisms`` and each state pushed forward along it."""
+    fu = u if isinstance(u, LatticeAutomorphism) else compose_automorphisms(list(u))
+    fv = v if isinstance(v, LatticeAutomorphism) else compose_automorphisms(list(v))
+    lat = fu.lattice
+    states = [nu] if isinstance(nu, LatticeState) else list(nu)
+    keep = range(len(lat)) if element is None else [
+        lat.index_of(element) if isinstance(element, str) else int(element)]
+    for si, state in enumerate(states):
+        a = pushforward(fu, state).values
+        b = pushforward(fv, state).values
+        for x in keep:
+            if (abs(a[x] - b[x]) > tol if relation == "generalized_equiv"
+                    else a[x] > b[x] + tol):
+                return GeneralizedReport(
+                    relation, False, tol, lhs=float(a[x]), rhs=float(b[x]),
+                    witness_element=lat.labels[x],
+                    witness_state=si if len(states) > 1 else None)
+    if element is not None and len(states) == 1:
+        return GeneralizedReport(relation, True, tol, lhs=float(a[keep[0]]),
+                                 rhs=float(b[keep[0]]))
+    return GeneralizedReport(relation, True, tol)
+
+
+def is_superposition_loop(nu, family, threshold=None) -> tuple[bool, str | None]:
+    """``is_superposition`` one element at a time."""
+    nu_cut = threshold if threshold is not None else nu.zero_atol
+    for x in range(len(nu.lattice)):
+        all_zero = all(
+            mu.values[x] <= (threshold if threshold is not None else mu.zero_atol)
+            for mu in family)
+        if all_zero and nu.values[x] > nu_cut:
+            return False, nu.lattice.labels[x]
+    return True, None
+
+
+def permutation_mapping_loop(n: int, atom_perm) -> np.ndarray:
+    """The element map of ``permutation_automorphism``, one mask and one bit
+    at a time: each subset to its preimage under the atom permutation."""
+    mapping = np.zeros(n, dtype=np.intp)
+    for mask in range(n):
+        pre = 0
+        for bit in range(len(atom_perm)):
+            if (mask >> atom_perm[bit]) & 1:
+                pre |= 1 << bit
+        mapping[mask] = pre
+    return mapping
+
+
+def gleason_values_by_born(rho, lattice) -> np.ndarray:
+    """The values of ``gleason_state``, each matrix wrapped in a validated
+    ``Projector`` again and paired by ``born``."""
+    return np.array([born(rho, Projector(m)) for m in lattice.matrices])

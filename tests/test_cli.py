@@ -18,7 +18,7 @@ import qclogic
 from qclogic import algorithms, classical, gates, qcore
 from qclogic.cli import main
 from qclogic.errors import ParseError, ValidationFailure
-from qclogic.omlattice import boolean_oml, lattice_to_json
+from qclogic.omlattice import boolean_oml, lattice_from_json, lattice_to_json
 
 
 def run_cli(capsys, *argv):
@@ -412,20 +412,36 @@ def test_lattice_verify_malformed_file_is_exit_2(tmp_path, capsys, payload):
     (qcore.matrix_from_json, {"dim": "x", "re": [1]}),
     (qcore.matrix_from_json, {"dim": 1, "re": ["a"]}),
     (qcore.matrix_from_json, {"dim": 1, "re": [{}]}),
+    # an integer field must be an integer, and a list field a list: none is
+    # coerced, as int() and iteration would
+    (algorithms.oracle_from_json, {"n": 1.9, "m": 1, "table": {"0": "0", "1": "1"}}),
+    (algorithms.oracle_from_json, {"n": 1, "m": True, "table": {"0": "0", "1": "1"}}),
+    (algorithms.periodic_from_json, {"N": 4, "r": 2, "f": [1.5, 2, 1.9, 2]}),
+    (algorithms.periodic_from_json, {"N": 4, "r": 2, "f": "1212"}),
+    (algorithms.periodic_from_json, {"N": 4.0, "r": 2, "f": [1, 2, 1, 2]}),
+    (algorithms.periodic_from_json, {"N": 4, "r": "2", "f": [1, 2, 1, 2]}),
+    (classical.machine_from_json, {"M": "1", "N": 1, "rows": {}}),
+    (classical.machine_from_json, {"M": 1, "N": 1.0, "rows": {}}),
+    (qcore.matrix_from_json, {"dim": 2.5, "re": [1, 0, 0, 0]}),
+    (qcore.matrix_from_json, {"dim": True, "re": [1]}),
+    (lattice_from_json, {"elements": "01", "leq": {"0": ["1"]},
+                         "ortho": {"0": "1", "1": "0"}, "zero": "0", "one": "1"}),
 ])
 def test_json_readers_refuse_bad_values_with_their_own_error(reader, payload):
-    # each payload raises a ValueError or, for the last, a TypeError inside
-    # the reader; neither is a QclError, so each must be turned into one
-    if reader is qcore.matrix_from_json:
+    # each payload raises a ValueError or a TypeError inside the reader;
+    # neither is a QclError, so each must be turned into one
+    invariant = {qcore.matrix_from_json: "matrix-json",
+                 lattice_from_json: "lattice-json"}.get(reader)
+    if invariant:
         with pytest.raises(ValidationFailure) as err:
             reader(payload)
-        assert err.value.invariant == "matrix-json"
+        assert err.value.invariant == invariant
     else:
         with pytest.raises(ParseError):
             reader(payload)
 
 
-# 1e400 reads as infinity, which int() cannot take
+# 1e400 reads as infinity, which no integer field takes
 @pytest.mark.parametrize("argv", [
     ["run-dj", '{"n": 1e400, "m": 1, "table": {}}'],
     ["run-period", '{"N": 1e400, "r": 1, "f": [0]}'],
@@ -435,6 +451,8 @@ def test_json_readers_refuse_bad_values_with_their_own_error(reader, payload):
     ["check-equiv", "width=1", "width=1", "--relation", "equiv_rho",
      "--state", '{"dim": 1, "re": [1' + "0" * 400 + ']}'],
     ["run-dj", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    # f(0) = 1.5 and f(2) = 1.9 differ, so period 2 is wrong
+    ["run-period", '{"N": 4, "r": 2, "f": [1.5, 2, 1.9, 2]}'],
 ])
 def test_overflowing_or_deeply_nested_json_is_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -447,6 +465,11 @@ def test_overflowing_or_deeply_nested_json_is_exit_2(capsys, argv):
     (["truth-table", "H", "--state", "basis:0", "--event", "basis:"], "basis:"),
     (["check-equiv", "H", "X", "--relation", "equiv_P", "--event", "basis:1.5"], "basis:1.5"),
     (["lattice-verify", "--builtin", "boolean:x"], "boolean:x"),
+    (["truth-table", "width=4; H[0]", "--state", "basis:1_0"], "basis:1_0"),
+    (["truth-table", "H", "--state", "basis: 0"], "basis: 0"),
+    (["truth-table", "H", "--state", "basis:+1"], "basis:+1"),
+    (["truth-table", "H", "--state", "basis:\u0661"], "basis:\u0661"),
+    (["lattice-verify", "--builtin", "boolean:+2"], "boolean:+2"),
 ])
 def test_a_non_integer_index_is_a_parse_error(capsys, argv, token):
     code, out, err = run_cli(capsys, *argv)

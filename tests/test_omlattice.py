@@ -1,3 +1,6 @@
+import ast
+import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from qclogic.omlattice import (
     REQUIRED_LAWS,
     ComputationalScheme,
     FiniteOML,
+    LatticeAutomorphism,
     LatticeState,
     atom_indices,
     boolean_oml,
@@ -1131,6 +1135,126 @@ def test_scheme_and_run_protocol_match_truth_values():
         run_protocol(scheme, [7])
     with pytest.raises(IndexOutOfRange):
         run_protocol(scheme, [], readout=["nope"])
+
+
+def _scheme_cases(gen):
+    """(lattice, automorphisms, states) on Boolean lattices of 4, 16 and 256
+    elements, MO2, and projector lattices in C^2 and C^4."""
+    cases = []
+    for bits in (1, 2, 3):
+        lat = boolean_oml(bits)
+        atoms = 2 ** bits
+        autos = [permutation_automorphism(lat, list(gen.permutation(atoms))) for _ in range(4)]
+        # a measure on the atoms: each subset's value is its atoms' total weight
+        members = np.arange(len(lat))[:, None] >> np.arange(atoms) & 1
+        states = [LatticeState(lat, members @ w) for w in gen.dirichlet(np.ones(atoms), 3)]
+        states += [point_mass_state(lat, 1 << k) for k in range(atoms)]
+        cases.append((lat, autos, states))
+    lat = mo2_oml()
+    autos = []
+    for perm in itertools.permutations(range(1, 5)):
+        try:
+            autos.append(LatticeAutomorphism(lat, [0, *perm, 5]))
+        except ValidationFailure:
+            pass
+    cases.append((lat, autos, [LatticeState(lat, [0, p, 1 - p, q, 1 - q, 1])
+                               for p, q in gen.uniform(size=(3, 2))]))
+    h, x, z, i2 = helpers.HADAMARD, helpers.PAULI_X, helpers.PAULI_Z, np.eye(2)
+    cnot, swap = np.eye(4)[[0, 1, 3, 2]], np.eye(4)[[0, 2, 1, 3]]
+    for dim, family, unitaries in (
+            (2, [P0, helpers.KET_PLUS], [h, x, z]),
+            (4, [np.kron(P0, i2), np.kron(helpers.KET_PLUS, i2)],
+             [np.kron(h, i2), np.kron(x, i2), np.kron(i2, x)]),
+            (4, [helpers.basis_state(4, k) for k in range(4)],
+             [np.kron(x, i2), np.kron(i2, x), cnot, swap])):
+        lat = projection_oml(dim, [qcore.Projector(m) for m in family])
+        autos = [unitary_automorphism(qcore.UnitaryGate(u), lat) for u in unitaries]
+        states = [gleason_state(qcore.DensityOperator(helpers.random_density(gen, dim)), lat)
+                  for _ in range(3)]
+        cases.append((lat, autos, states))
+    return cases
+
+
+def _some_element(gen, lat):
+    k = int(gen.integers(len(lat)))
+    return [k, np.int64(k), lat.labels[k]][int(gen.integers(3))]
+
+
+def test_the_scheme_layer_reproduces_its_validated_references_bit_for_bit():
+    gen = helpers.rng(2024)
+    for lat, autos, states in _scheme_cases(gen):
+        def word(low):
+            return [autos[i] for i in gen.integers(len(autos), size=gen.integers(low, 13))]
+
+        def some_states():
+            picks = gen.choice(len(states), size=gen.integers(1, 4))
+            return states[picks[0]] if len(picks) == 1 else [states[i] for i in picks]
+
+        scheme = ComputationalScheme(lat, tuple(states), tuple(autos),
+                                     initial=int(gen.integers(len(states))))
+        for _ in range(20):
+            gens = gen.integers(len(autos), size=gen.integers(0, 13)).tolist()
+            readout = None if gen.random() < 0.5 else [
+                _some_element(gen, lat) for _ in range(gen.integers(1, 4))]
+            assert run_protocol(scheme, gens, readout) == \
+                helpers.run_protocol_by_pushforward(scheme, gens, readout)
+
+            u = word(1) if gen.random() < 0.8 else autos[int(gen.integers(len(autos)))]
+            v = u if gen.random() < 0.3 else word(1)
+            nu = some_states()
+            element = None if gen.random() < 0.5 else _some_element(gen, lat)
+            tol = [1e-9, 0.25][int(gen.integers(2))]
+            for relation, decide in (("generalized_equiv", generalized_equiv),
+                                     ("generalized_leq", generalized_leq)):
+                got = decide(u, v, nu, element, tol)
+                want = helpers.generalized_by_pushforward(relation, u, v, nu, element, tol)
+                assert got == want and got.to_json_dict() == want.to_json_dict()
+
+            family = [states[i] for i in gen.choice(len(states), size=gen.integers(0, 4))]
+            threshold = [None, 0.0, 0.3][int(gen.integers(3))]
+            nu = states[int(gen.integers(len(states)))]
+            assert is_superposition(nu, family, threshold) == \
+                helpers.is_superposition_loop(nu, family, threshold)
+        if isinstance(lat, omlattice.ProjectionLattice):
+            for _ in range(5):
+                rho = qcore.DensityOperator(helpers.random_density(gen, lat.dim))
+                got = gleason_state(rho, lat).values
+                assert got.tobytes() == helpers.gleason_values_by_born(rho, lat).tobytes()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_permutation_automorphism_equals_the_element_loop(bits):
+    lat = boolean_oml(bits)
+    atoms = 2 ** bits
+    gen = helpers.rng(bits)
+    perms = itertools.permutations(range(atoms)) if atoms <= 4 else \
+        (gen.permutation(atoms).tolist() for _ in range(40))
+    for perm in perms:
+        got = permutation_automorphism(lat, list(perm)).mapping
+        want = helpers.permutation_mapping_loop(len(lat), perm)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_the_scheme_layer_validates_only_at_its_boundary():
+    # run_protocol and the generalized relations read state.values through
+    # one composed index array; nothing they reach builds or validates a
+    # state or an automorphism again
+    funcs = {node.name: node for node in ast.parse(inspect.getsource(omlattice)).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def calls(name):
+        return {node.func.id for node in ast.walk(funcs[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    reached, todo = set(), ["run_protocol", "_generalized"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(calls(name) & funcs.keys())
+    forbidden = {"LatticeState", "LatticeAutomorphism", "pushforward", "compose_automorphisms"}
+    assert {name: calls(name) & forbidden for name in sorted(reached)
+            if calls(name) & forbidden} == {}
 
 
 def test_scheme_validation():

@@ -178,6 +178,24 @@ REFUSALS = [
     ("run_protocol, a readout out of range",
      lambda: run_protocol(_scheme(None, None), [0], readout=[99]),
      IndexOutOfRange, "readout element 99 out of range"),
+    ("run_protocol, a readout that is no integer",
+     lambda: run_protocol(_scheme(None, None), [0], readout=[1.9]),
+     IndexOutOfRange, "readout element 1.9 is a float, not an integer"),
+    ("run_protocol, a generator index that is a float",
+     lambda: run_protocol(_scheme(None, None), [0.5]),
+     IndexOutOfRange, "generator index 0.5 is a float, not an integer"),
+    ("run_protocol, a generator index that is a string",
+     lambda: run_protocol(_scheme(None, None), ["0"]),
+     IndexOutOfRange, "generator index 0 is a str, not an integer"),
+    ("generalized_equiv, an element that is no integer",
+     lambda: _generalized(0.7, None),
+     IndexOutOfRange, "element 0.7 is a float, not an integer"),
+    ("compose_automorphisms, a letter that is no automorphism",
+     lambda: omlattice.compose_automorphisms([0]),
+     InvalidArgument, "word letter 0 is not a LatticeAutomorphism"),
+    ("generalized_equiv, a letter that is no automorphism",
+     lambda: generalized_equiv([0], [0], point_mass_state(boolean_oml(1), 1)),
+     InvalidArgument, "word letter 0 is not a LatticeAutomorphism"),
     # classical
     ("BoolCircuit, a negative arity",
      lambda: classical.BoolCircuit(-1, _X0),
