@@ -28,6 +28,7 @@ from .qcore import (
     DEFAULT_TOL,
     UnitaryGate,
     _probability,
+    _strict_dict,
     _strict_int,
     _strict_list,
     check_dim,
@@ -51,10 +52,11 @@ class OracleFunction:
                                     "need n >= 0 input and m >= 1 output bits")
         fixed = {}
         for x, y in dict(self.table).items():
-            if len(x) != self.domain_bits or any(c not in "01" for c in x):
+            if not isinstance(x, str) or len(x) != self.domain_bits or any(c not in "01" for c in x):
                 raise ValidationFailure("oracle-key", 0.0,
                                         f"{x!r} is not a {self.domain_bits}-bit word")
-            if len(y) != self.codomain_bits or any(c not in "01" for c in y):
+            if (not isinstance(y, str) or len(y) != self.codomain_bits
+                    or any(c not in "01" for c in y)):
                 raise ValidationFailure("oracle-value", 0.0,
                                         f"{y!r} is not a {self.codomain_bits}-bit word")
             fixed[x] = y
@@ -84,7 +86,8 @@ def one_bit_functions() -> dict[str, OracleFunction]:
 def oracle_from_json(obj: dict) -> OracleFunction:
     """Parse ``{"n": ..., "m": ..., "table": {...}}``."""
     try:
-        return OracleFunction(_strict_int(obj["n"]), _strict_int(obj["m"]), dict(obj["table"]))
+        return OracleFunction(_strict_int(obj["n"]), _strict_int(obj["m"]),
+                              _strict_dict(obj["table"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad oracle payload: {exc}")
 
@@ -180,9 +183,9 @@ def qft(n: int) -> UnitaryGate:
 class PeriodicSpec:
     """An r-periodic, within-period injective function on Z_N.
 
-    ``values[x]`` may be any integers, Python's or numpy's, but no bools,
-    floats or strings; what matters is the coincidence pattern f(x) =
-    f(x + r).  r must divide N, and the first r values must be pairwise
+    ``modulus``, ``period`` and each ``values[x]`` may be any integers,
+    Python's or numpy's, but no bools, floats or strings; of the values,
+    what matters is the coincidence pattern f(x) = f(x + r).  r must divide N, and the first r values must be pairwise
     distinct, otherwise the declared period is wrong and :class:`InvalidSpec`
     is raised.
     """
@@ -192,7 +195,10 @@ class PeriodicSpec:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        n, r = self.modulus, self.period
+        try:
+            n, r = _strict_int(self.modulus), _strict_int(self.period)
+        except ValueError as exc:
+            raise InvalidSpec(f"N and r must be integers: {exc}") from None
         if n < 1 or r < 1:
             raise InvalidSpec(f"need N >= 1 and r >= 1, got N={n} r={r}")
         if n % r != 0:
@@ -203,6 +209,8 @@ class PeriodicSpec:
             raise InvalidSpec(f"values must be integers: {exc}") from None
         if len(vals) != n:
             raise InvalidSpec(f"{len(vals)} values for modulus {n}")
+        object.__setattr__(self, "modulus", n)
+        object.__setattr__(self, "period", r)
         object.__setattr__(self, "values", vals)
         for x in range(n):
             if vals[x] != vals[(x + r) % n]:

@@ -10,6 +10,7 @@ rules in ``apply_reversible``, a route independent of the gate matrices.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -25,7 +26,7 @@ from .errors import (
     UnknownInput,
     ValidationFailure,
 )
-from .qcore import _strict_int
+from .qcore import _strict_dict, _strict_int, _strict_list
 
 # truth tables of the generating gates, written out rather than derived
 _NOT = {(0,): 1, (1,): 0}
@@ -89,6 +90,48 @@ class And:
 Expr = Union[Var, Not, Or, And]
 
 
+# each gate node class and its operator: the name of its table in _GATES and
+# the head of its s-expression
+_OPS = {Not: "not", Or: "or", And: "and"}
+_NODES = {op: cls for cls, op in _OPS.items()}
+
+
+def _fold(root, tap, gate):
+    """Combine values bottom-up over the tree at ``root`` with an explicit
+    stack: ``tap(var)`` at each input tap, and ``gate(op, args)`` at each
+    gate, ``args`` being its operands' values in order.
+
+    Each node is visited before its right subtree, and that before its
+    left, and the first fault in that order is the one raised.  A node of
+    any other type raises ``ValidationFailure('circuit-node')``.
+    """
+    stack, values = [(root, 0)], []
+    while stack:
+        node, k = stack.pop()
+        if k:       # a gate whose k operands' values are the last k, right first
+            args = tuple(values[:-k - 1:-1])
+            del values[-k:]
+            values.append(gate(_OPS[type(node)], args))
+        elif isinstance(node, Var):
+            values.append(tap(node))
+        elif type(node) in _OPS:
+            operands = (node.child,) if type(node) is Not else (node.left, node.right)
+            stack.append((node, len(operands)))
+            stack.extend((operand, 0) for operand in operands)
+        else:
+            raise ValidationFailure("circuit-node", 0.0, f"bad node {node!r}")
+    return values.pop()
+
+
+def _integer(x, what: str) -> int:
+    """``x`` as an int if ``operator.index`` takes it, else an ArityMismatch
+    that names ``what``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ArityMismatch(f"{what} {x!r} is a {type(x).__name__}, not an integer") from None
+
+
 @dataclass(frozen=True)
 class BoolCircuit:
     """An expression tree computing one output bit from ``arity`` inputs."""
@@ -97,21 +140,16 @@ class BoolCircuit:
     root: Expr
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise ArityMismatch(f"arity must be >= 0, got {self.arity}")
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                if not 0 <= node.index < self.arity:
-                    raise ArityMismatch(
-                        f"input x{node.index} out of range for arity {self.arity}")
-            elif isinstance(node, Not):
-                stack.append(node.child)
-            elif isinstance(node, (Or, And)):
-                stack.extend((node.left, node.right))
-            else:
-                raise ValidationFailure("circuit-node", 0.0, f"bad node {node!r}")
+        arity = _integer(self.arity, "arity")
+        if arity < 0:
+            raise ArityMismatch(f"arity must be >= 0, got {arity}")
+        object.__setattr__(self, "arity", arity)
+
+        def tap(var: Var) -> None:
+            if not 0 <= _integer(var.index, "input") < arity:
+                raise ArityMismatch(f"input x{var.index} out of range for arity {arity}")
+
+        _fold(self.root, tap, lambda op, args: None)
 
 
 def eval_circuit(circuit: BoolCircuit, bits: str) -> int:
@@ -121,17 +159,8 @@ def eval_circuit(circuit: BoolCircuit, bits: str) -> int:
             f"input length {len(bits)} vs arity {circuit.arity}")
     if any(c not in "01" for c in bits):
         raise InvalidArgument(f"input must be a bitstring, got {bits!r}")
-
-    def go(node: Expr) -> int:
-        if isinstance(node, Var):
-            return int(bits[node.index])
-        if isinstance(node, Not):
-            return eval_gate("not", (go(node.child),))
-        if isinstance(node, Or):
-            return eval_gate("or", (go(node.left), go(node.right)))
-        return eval_gate("and", (go(node.left), go(node.right)))
-
-    return go(circuit.root)
+    return _fold(circuit.root, lambda var: int(bits[var.index]),
+                 lambda op, args: _GATES[op][args])
 
 
 def _word(i: int, arity: int) -> str:
@@ -186,14 +215,10 @@ def parse_circuit(text: str, arity: int | None = None) -> BoolCircuit:
                 raise ParseError("unexpected end of input after '('")
             head = tokens[pos]
             pos += 1
-            if head == "not":
-                node: Expr = Not(expr())
-            elif head == "or":
-                node = Or(expr(), expr())
-            elif head == "and":
-                node = And(expr(), expr())
-            else:
+            if head not in _NODES:
                 raise ParseError(f"unknown operator {head!r}")
+            # one operand per argument of the gate's truth table
+            node = _NODES[head](*[expr() for _ in next(iter(_GATES[head]))])
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ParseError(f"missing ')' after {head}")
             pos += 1
@@ -205,40 +230,32 @@ def parse_circuit(text: str, arity: int | None = None) -> BoolCircuit:
             raise ParseError(f"bad atom {tok!r}; inputs look like x0, x1, ...")
         return Var(int(m.group(1)))
 
-    root = expr()
+    try:
+        root = expr()
+    except RecursionError:
+        raise ParseError("circuit nested too deeply") from None
     if pos != len(tokens):
         raise ParseError(f"trailing tokens: {' '.join(tokens[pos:])}")
     if arity is None:
-        arity = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                arity = max(arity, node.index + 1)
-            elif isinstance(node, Not):
-                stack.append(node.child)
-            elif isinstance(node, (Or, And)):
-                stack.extend((node.left, node.right))
+        arity = _fold(root, lambda var: var.index + 1, lambda op, args: max(args))
     return BoolCircuit(arity, root)
 
 
 def circuit_to_text(circuit: BoolCircuit) -> str:
     """Inverse of :func:`parse_circuit`."""
-
-    def go(node: Expr) -> str:
-        if isinstance(node, Var):
-            return f"x{node.index}"
-        if isinstance(node, Not):
-            return f"(not {go(node.child)})"
-        if isinstance(node, Or):
-            return f"(or {go(node.left)} {go(node.right)})"
-        return f"(and {go(node.left)} {go(node.right)})"
-
-    return go(circuit.root)
+    return _fold(circuit.root, lambda var: f"x{var.index}",
+                 lambda op, args: f"({op} {' '.join(args)})")
 
 
 # ---------------------------------------------------------------------------
 # probabilistic machines
+
+
+def _check_table_size(input_bits: int, output_bits: int) -> None:
+    """Refuse a table past 64 bits a side before its powers are formed."""
+    if max(input_bits, output_bits) > 64:
+        raise SizeCapExceeded(f"a table on {input_bits} input and {output_bits} output "
+                              f"bits has more than 2**64 rows or entries")
 
 
 @dataclass(frozen=True)
@@ -258,10 +275,7 @@ class StochasticOutput:
     def __post_init__(self):
         if self.input_bits < 0 or self.output_bits < 0:
             raise ValidationFailure("register-size", 0.0, "negative width")
-        if max(self.input_bits, self.output_bits) > 64:   # before the powers are formed
-            raise SizeCapExceeded(
-                f"a table on {self.input_bits} input and {self.output_bits} output "
-                f"bits has more than 2**64 rows or entries")
+        _check_table_size(self.input_bits, self.output_bits)
         rows = {}
         width = 2 ** self.output_bits
         for x, row in dict(self.table).items():
@@ -301,6 +315,7 @@ def from_circuits(circuits: Sequence[BoolCircuit]) -> StochasticOutput:
         if c.arity != arity:
             raise ArityMismatch(f"arity {c.arity} vs {arity}")
     n = len(circuits)
+    _check_table_size(arity, n)
     table = {}
     for x in all_inputs(arity):
         word = "".join(str(eval_circuit(c, x)) for c in circuits)
@@ -408,6 +423,8 @@ def machine_to_json(machine: StochasticOutput) -> dict:
 def machine_from_json(obj: dict) -> StochasticOutput:
     """Inverse of :func:`machine_to_json`; constructor revalidates."""
     try:
-        return StochasticOutput(_strict_int(obj["M"]), _strict_int(obj["N"]), dict(obj["rows"]))
+        return StochasticOutput(
+            _strict_int(obj["M"]), _strict_int(obj["N"]),
+            {x: _strict_list(row) for x, row in _strict_dict(obj["rows"]).items()})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad stochastic table payload: {exc}")

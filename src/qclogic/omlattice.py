@@ -984,7 +984,9 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
     is the intended order; the closure is taken before validation.
     """
     try:
-        labels = [str(s) for s in _strict_list(obj["elements"])]
+        labels = _strict_list(obj["elements"])
+        if not all(isinstance(s, str) for s in labels):
+            raise ValueError("every element must be a string")
         n = len(labels)
         if n > max_elements:
             raise SizeCapExceeded(f"{n} elements exceeds cap {max_elements}")
@@ -993,7 +995,7 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
         pos = {s: i for i, s in enumerate(labels)}
         leq = np.zeros((n, n), dtype=bool)
         for a, ups in obj["leq"].items():
-            for b in ups:
+            for b in _strict_list(ups):
                 leq[pos[a], pos[b]] = True
         ortho = np.zeros(n, dtype=np.intp)
         for a, b in obj["ortho"].items():

@@ -399,6 +399,13 @@ def _strict_list(x) -> list:
     return x
 
 
+def _strict_dict(x) -> dict:
+    """A field documented as an object; anything else raises ValueError."""
+    if not isinstance(x, dict):
+        raise ValueError(f"expected an object, got {type(x).__name__}")
+    return x
+
+
 def matrix_to_json(matrix) -> dict:
     """Serialize to ``{"dim": n, "re": [...], "im": [...]}`` (row-major)."""
     m = as_square_matrix(matrix)

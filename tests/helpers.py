@@ -6,6 +6,7 @@ cases) so expected values come from a second route.  The exceptions are
 ``quotient_oracle`` and ``compose_word_loop``, which apply the package's
 kernel one word and one letter at a time: they are the per-word routes that
 the prefix engine behind ``quotient`` and ``compose_word`` must reproduce.
+The circuit walks evaluate each gate through the public ``eval_gate``.
 So are the scheme-layer references at the end, which go through the
 validated objects (``pushforward``, ``compose_automorphisms``, ``born`` on a
 ``Projector``) and loop over elements, where the package composes one index
@@ -19,6 +20,8 @@ import itertools
 import numpy as np
 
 from qclogic import logic
+from qclogic.classical import And, Not, Or, Var, eval_gate
+from qclogic.errors import ArityMismatch, ValidationFailure
 from qclogic.gates import _apply, compose_word, fourier_matrix
 from qclogic.logic import EquivalenceReport, QuotientPartition
 from qclogic.omlattice import (
@@ -280,6 +283,62 @@ def classical_step(name: str, wires: tuple[int, ...], index: int, width: int) ->
         return (flip_bit(index, t, width)
                 if bit_of(index, c1, width) and bit_of(index, c2, width) else index)
     raise ValueError(name)
+
+
+# Boolean circuits walked one way each, as four separate walks: the
+# references for the one fold in ``classical``.  Each evaluation goes
+# through the public ``eval_gate``.
+def circuit_check_walk(arity: int, root) -> None:
+    """The constructor's check: a node, then its right subtree, then its left."""
+    if arity < 0:
+        raise ArityMismatch(f"arity must be >= 0, got {arity}")
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if not 0 <= node.index < arity:
+                raise ArityMismatch(f"input x{node.index} out of range for arity {arity}")
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (Or, And)):
+            stack.extend((node.left, node.right))
+        else:
+            raise ValidationFailure("circuit-node", 0.0, f"bad node {node!r}")
+
+
+def circuit_arity_walk(root) -> int:
+    """The arity ``parse_circuit`` infers: one more than the largest input."""
+    arity, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            arity = max(arity, node.index + 1)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        else:
+            stack.extend((node.left, node.right))
+    return arity
+
+
+def circuit_value_walk(root, bits: str) -> int:
+    """The value on a bitstring, recursively, each gate by ``eval_gate``."""
+    if isinstance(root, Var):
+        return int(bits[root.index])
+    if isinstance(root, Not):
+        return eval_gate("not", (circuit_value_walk(root.child, bits),))
+    op = "or" if isinstance(root, Or) else "and"
+    return eval_gate(op, (circuit_value_walk(root.left, bits),
+                          circuit_value_walk(root.right, bits)))
+
+
+def circuit_text_walk(root) -> str:
+    """The s-expression text, recursively."""
+    if isinstance(root, Var):
+        return f"x{root.index}"
+    if isinstance(root, Not):
+        return f"(not {circuit_text_walk(root.child)})"
+    op = "or" if isinstance(root, Or) else "and"
+    return f"({op} {circuit_text_walk(root.left)} {circuit_text_walk(root.right)})"
 
 
 # Projector-lattice oracles: the join and the order decided numerically, on

@@ -1,7 +1,11 @@
+import ast
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qclogic import classical, gates
@@ -18,6 +22,7 @@ from qclogic.errors import (
     ArityMismatch,
     GroundMismatch,
     ParseError,
+    QclError,
     SizeCapExceeded,
     UnknownInput,
     ValidationFailure,
@@ -260,3 +265,73 @@ def test_apply_reversible_refuses_a_gate_that_is_not_classical(name, wires):
     with pytest.raises(ValidationFailure) as err:
         classical.apply_reversible(name, wires, 0, 2)
     assert err.value.invariant == "classical-gate"
+
+
+# nodes that are no expression, for the fold to refuse
+_FOREIGN = ("x0", None, 0, (Var(0),))
+
+
+@st.composite
+def _trees(draw, max_depth=30, max_nodes=40):
+    """A tree of depth at most ``max_depth`` over taps x0..x5, with a
+    foreign node in about one leaf of forty."""
+    budget = [max_nodes]
+
+    def node(depth):
+        budget[0] -= 1
+        kinds = ("not", "or", "and", "var") if depth < max_depth and budget[0] > 0 else ("var",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "var":
+            if draw(st.integers(0, 39)) == 0:
+                return draw(st.sampled_from(_FOREIGN))
+            return Var(draw(st.integers(0, 5)))
+        if kind == "not":
+            return Not(node(depth + 1))
+        return {"or": Or, "and": And}[kind](node(depth + 1), node(depth + 1))
+
+    return node(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(), st.integers(0, 6))
+def test_the_fold_agrees_with_the_four_walks(root, arity):
+    try:
+        helpers.circuit_check_walk(arity, root)
+    except QclError as exc:
+        with pytest.raises(QclError) as err:
+            BoolCircuit(arity, root)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    c = BoolCircuit(arity, root)
+    for x in classical.all_inputs(arity):
+        assert classical.eval_circuit(c, x) == helpers.circuit_value_walk(root, x)
+    text = classical.circuit_to_text(c)
+    assert text == helpers.circuit_text_walk(root)
+    assert classical.parse_circuit(text).arity == helpers.circuit_arity_walk(root)
+    assert classical.parse_circuit(text, arity) == c
+
+
+def test_a_disjunction_of_2000_inputs_evaluates_and_prints():
+    # (or x0 (or x1 (... x1999))), nested deeper than the recursion limit
+    root = Var(1999)
+    for i in reversed(range(1999)):
+        root = Or(Var(i), root)
+    c = BoolCircuit(2000, root)
+    assert classical.eval_circuit(c, "0" * 1999 + "1") == 1
+    assert classical.eval_circuit(c, "0" * 2000) == 0
+    text = classical.circuit_to_text(c)
+    assert len(text) == 20_884 and text.startswith("(or x0 (or x1 (or x2 ")
+    assert text.endswith(" x1999" + ")" * 1999)
+    with pytest.raises(ParseError, match="circuit nested too deeply"):
+        classical.parse_circuit(text)
+    # 2**2000 rows are refused before any input is listed
+    with pytest.raises(SizeCapExceeded):
+        classical.from_circuits([c])
+
+
+def test_only_the_fold_reads_a_nodes_operands():
+    readers = {fn.name for fn in ast.walk(ast.parse(inspect.getsource(classical)))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr in ("child", "left", "right")}
+    assert readers == {"_fold"}

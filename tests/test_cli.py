@@ -426,6 +426,18 @@ def test_lattice_verify_malformed_file_is_exit_2(tmp_path, capsys, payload):
     (qcore.matrix_from_json, {"dim": True, "re": [1]}),
     (lattice_from_json, {"elements": "01", "leq": {"0": ["1"]},
                          "ortho": {"0": "1", "1": "0"}, "zero": "0", "one": "1"}),
+    # an object field must be an object, a list field a list and a label a
+    # string: a list of pairs is no object, and a string no list of labels
+    (algorithms.oracle_from_json, {"n": 1, "m": 1, "table": [["0", "0"], ["1", "1"]]}),
+    (classical.machine_from_json, {"M": 1, "N": 1, "rows": [["0", [1, 0]], ["1", [0, 1]]]}),
+    (classical.machine_from_json, {"M": 1, "N": 1, "rows": {"0": "10", "1": "01"}}),
+    (lattice_from_json, {"elements": ["0", "a", "b", "1"], "leq": {"0": "ab1", "a": "1", "b": "1"},
+                         "ortho": {"0": "1", "a": "b", "b": "a", "1": "0"},
+                         "zero": "0", "one": "1"}),
+    (lattice_from_json, {"elements": [0, "a", "b", 1],
+                         "leq": {"0": ["a", "b"], "a": ["1"], "b": ["1"]},
+                         "ortho": {"0": "1", "a": "b", "b": "a", "1": "0"},
+                         "zero": "0", "one": "1"}),
 ])
 def test_json_readers_refuse_bad_values_with_their_own_error(reader, payload):
     # each payload raises a ValueError or a TypeError inside the reader;
@@ -439,6 +451,21 @@ def test_json_readers_refuse_bad_values_with_their_own_error(reader, payload):
     else:
         with pytest.raises(ParseError):
             reader(payload)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run-dj", '{"n": 1, "m": 1, "table": {"0": ["0"], "1": ["1"]}}'],
+     "invariant 'oracle-value' violated by 0.000e+00 (['0'] is not a 1-bit word)"),
+    (["run-dj", '{"n": 1, "m": 1, "table": [["0", "0"], ["1", "1"]]}'],
+     "bad oracle payload: expected an object, got list"),
+    (["lattice-verify", json.dumps({"elements": ["0", "a", "b", "1"],
+                                    "leq": {"0": "ab1", "a": "1", "b": "1"},
+                                    "ortho": {"0": "1", "a": "b", "b": "a", "1": "0"},
+                                    "zero": "0", "one": "1"})],
+     "invariant 'lattice-json' violated by 0.000e+00 (bad payload: expected a list, got str)"),
+])
+def test_json_of_the_wrong_type_is_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # 1e400 reads as infinity, which no integer field takes

@@ -7,13 +7,14 @@ import io
 import numpy as np
 import pytest
 
-from qclogic import classical, gates, logic, omlattice, qcore
+from qclogic import algorithms, classical, gates, logic, omlattice, qcore
 from qclogic.cli import build_parser, main
 from qclogic.errors import (
     ArityMismatch,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidArgument,
+    InvalidSpec,
     InvalidWire,
     LatticeMismatch,
     NotOrthonormalFamily,
@@ -200,6 +201,25 @@ REFUSALS = [
     ("BoolCircuit, a negative arity",
      lambda: classical.BoolCircuit(-1, _X0),
      ArityMismatch, "arity must be >= 0, got -1"),
+    ("BoolCircuit, an arity that is a string",
+     lambda: classical.BoolCircuit("2", _X0),
+     ArityMismatch, "arity '2' is a str, not an integer"),
+    ("BoolCircuit, an arity that is a float",
+     lambda: classical.BoolCircuit(1.5, _X0),
+     ArityMismatch, "arity 1.5 is a float, not an integer"),
+    ("BoolCircuit, an input index that is a string",
+     lambda: classical.BoolCircuit(1, classical.Var("0")),
+     ArityMismatch, "input '0' is a str, not an integer"),
+    ("BoolCircuit, an input index that is a float",
+     lambda: classical.BoolCircuit(1, classical.Not(classical.Var(0.5))),
+     ArityMismatch, "input 0.5 is a float, not an integer"),
+    ("parse_circuit, text nested past the recursion limit",
+     lambda: classical.parse_circuit("(not " * 5000 + "x0" + ")" * 5000),
+     ParseError, "circuit nested too deeply"),
+    ("from_circuits, a table past 64 input bits",
+     lambda: classical.from_circuits([classical.BoolCircuit(65, _X0)]),
+     SizeCapExceeded,
+     "a table on 65 input and 1 output bits has more than 2**64 rows or entries"),
     ("BoolCircuit, a node that is no expression",
      lambda: classical.BoolCircuit(1, "x0"),
      ValidationFailure, "invariant 'circuit-node' violated by 0.000e+00 (bad node 'x0')"),
@@ -235,6 +255,20 @@ REFUSALS = [
     ("sample_output, an unknown input",
      lambda: classical.sample_output(_machine(), "2", rng=np.random.default_rng(0)),
      UnknownInput, "no row for input '2'"),
+    # algorithms
+    ("OracleFunction, a key that is no string",
+     lambda: algorithms.OracleFunction(1, 1, {0: "0", 1: "1"}),
+     ValidationFailure, "invariant 'oracle-key' violated by 0.000e+00 (0 is not a 1-bit word)"),
+    ("OracleFunction, a value that is a list",
+     lambda: algorithms.OracleFunction(1, 1, {"0": ["0"], "1": ["1"]}),
+     ValidationFailure,
+     "invariant 'oracle-value' violated by 0.000e+00 (['0'] is not a 1-bit word)"),
+    ("PeriodicSpec, a modulus that is a float",
+     lambda: algorithms.PeriodicSpec(4.0, 2, (1, 2, 1, 2)),
+     InvalidSpec, "N and r must be integers: expected an integer, got float"),
+    ("PeriodicSpec, a period that is a bool",
+     lambda: algorithms.PeriodicSpec(4, True, (1, 1, 1, 1)),
+     InvalidSpec, "N and r must be integers: expected an integer, got bool"),
     # gates and logic
     ("enumerate_polynomials, no wires",
      lambda: gates.enumerate_polynomials(gates.generator_set("G1"), 0, 1),
