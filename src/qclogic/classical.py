@@ -151,6 +151,19 @@ class BoolCircuit:
 
         _fold(self.root, tap, lambda op, args: None)
 
+    # equality, hash and repr go through the s-expression, one walk by
+    # _fold, not dataclass's recursion into the tree
+    def __eq__(self, other):
+        if type(other) is not BoolCircuit:
+            return NotImplemented
+        return (self.arity, circuit_to_text(self)) == (other.arity, circuit_to_text(other))
+
+    def __hash__(self):
+        return hash((self.arity, circuit_to_text(self)))
+
+    def __repr__(self):
+        return f"BoolCircuit(arity={self.arity}, root={circuit_to_text(self)!r})"
+
 
 def eval_circuit(circuit: BoolCircuit, bits: str) -> int:
     """Evaluate on an input bitstring; character j is input wire j."""
@@ -243,7 +256,7 @@ def parse_circuit(text: str, arity: int | None = None) -> BoolCircuit:
 
 def circuit_to_text(circuit: BoolCircuit) -> str:
     """Inverse of :func:`parse_circuit`."""
-    return _fold(circuit.root, lambda var: f"x{var.index}",
+    return _fold(circuit.root, lambda var: f"x{int(var.index)}",
                  lambda op, args: f"({op} {' '.join(args)})")
 
 
@@ -281,6 +294,9 @@ class StochasticOutput:
         for x, row in dict(self.table).items():
             if not (isinstance(x, str) and len(x) == self.input_bits and set(x) <= {"0", "1"}):
                 raise UnknownInput(f"row key {x!r} is not a {self.input_bits}-bit word")
+            if isinstance(row, (str, bytes)):
+                raise ValidationFailure("row-entries", 0.0,
+                                        f"row {x!r} is a {type(row).__name__}, not numbers")
             vec = tuple(float(v) for v in row)
             if len(vec) != width:
                 raise ValidationFailure(

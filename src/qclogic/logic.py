@@ -220,9 +220,11 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate,
     arc's ends; otherwise it is 0, inside the triangle of an eigenvalue,
     the last one less than pi after it and the first one at least pi after
     it.  The event from :func:`_witness` separates the two truth values by
-    sqrt(1 - r^2), the most any context can.
+    sqrt(1 - r^2), the most any context can.  The eigenpairs come from
+    :func:`_unitary_eig`; within a repeated eigenvalue any eigenvector
+    serves, since every unit vector's <psi|m|psi> lies in the hull.
     """
-    evals, evecs = np.linalg.eig(m)
+    evals, evecs = _unitary_eig(m)
     order = np.argsort(np.angle(evals))
     # one index per distinct eigenvalue, by phase: the eigensolver spreads a
     # repeated eigenvalue of a 1024 x 1024 unitary over about 3e-14, and
@@ -244,6 +246,41 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate,
     psi = psi / np.linalg.norm(psi)
     moved = _rank_one(u.matrix @ psi) - _rank_one(v.matrix @ psi)
     return DensityOperator(_rank_one(psi)), Projector(_witness(moved))
+
+
+# neighbouring cosines further apart than this end a run.  Across a cut of
+# width g, eigh's vectors leak about eps / g into the other run, at most
+# about 2e-10 here; that moves <psi|m|psi> and the separation sqrt(1 - r^2)
+# by far less than the 1e-9 the witness is held to
+_COS_RUN = 1e-6
+# a run's block with no entry off its diagonal above this is diagonal: the
+# run holds one eigenvalue, whose eigh vectors leave entries of about 2e-15
+# at d = 1024, and each column is an eigenvector within sqrt(k) * 1e-13
+_DIAGONAL = 1e-13
+
+
+def _unitary_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and an orthonormal eigenbasis Q of the unitary m.
+
+    One eigh of the Hermitian part (m + m*)/2 gives the cosines of m's
+    eigenphases and a basis Q in which Q*mQ is block diagonal over the runs
+    of equal cosine.  A run of one, or a run whose block is diagonal, holds
+    eigenpairs already.  Any other run holds an eigenphase and its negative
+    and is finished by eig of its own block, whose vectors QR makes
+    orthonormal: eig's are not within a repeated eigenvalue, and elsewhere
+    QR moves them by eps.
+    """
+    cos, q = np.linalg.eigh((m + m.conj().T) / 2)
+    mq = m @ q
+    evals = np.einsum("ij,ij->j", q.conj(), mq)
+    for run in np.split(np.arange(len(cos)), np.flatnonzero(np.diff(cos) > _COS_RUN) + 1):
+        if len(run) == 1:
+            continue
+        block = q[:, run].conj().T @ mq[:, run]
+        if np.max(np.abs(block - np.diag(evals[run]))) > _DIAGONAL:
+            evals[run], rot = np.linalg.eig(block)
+            q[:, run] = q[:, run] @ np.linalg.qr(rot)[0]
+    return evals, q
 
 
 def leq_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,

@@ -311,12 +311,17 @@ def test_the_fold_agrees_with_the_four_walks(root, arity):
     assert classical.parse_circuit(text, arity) == c
 
 
-def test_a_disjunction_of_2000_inputs_evaluates_and_prints():
-    # (or x0 (or x1 (... x1999))), nested deeper than the recursion limit
-    root = Var(1999)
+def _disjunction(last: int) -> BoolCircuit:
+    """(or x0 (or x1 (... x1998 x<last>))) on 2,000 inputs."""
+    root = Var(last)
     for i in reversed(range(1999)):
         root = Or(Var(i), root)
-    c = BoolCircuit(2000, root)
+    return BoolCircuit(2000, root)
+
+
+def test_a_disjunction_of_2000_inputs_evaluates_and_prints():
+    # nested deeper than the recursion limit
+    c = _disjunction(1999)
     assert classical.eval_circuit(c, "0" * 1999 + "1") == 1
     assert classical.eval_circuit(c, "0" * 2000) == 0
     text = classical.circuit_to_text(c)
@@ -327,6 +332,21 @@ def test_a_disjunction_of_2000_inputs_evaluates_and_prints():
     # 2**2000 rows are refused before any input is listed
     with pytest.raises(SizeCapExceeded):
         classical.from_circuits([c])
+
+
+def test_a_disjunction_of_2000_inputs_compares_hashes_and_reprs():
+    c, copy, other = _disjunction(1999), _disjunction(1999), _disjunction(1998)
+    assert c == copy and hash(c) == hash(copy)
+    assert c != other and c != BoolCircuit(2001, c.root)
+    assert len({c, copy, other}) == 2
+    text = repr(c)
+    assert text.startswith("BoolCircuit(arity=2000, root='(or x0 (or x1 ")
+    assert text.endswith(" x1999" + ")" * 1999 + "')")
+    assert repr(BoolCircuit(2, Or(Var(0), Not(Var(1))))) == \
+        "BoolCircuit(arity=2, root='(or x0 (not x1))')"
+    # an index is compared and printed as the integer it stands for
+    assert BoolCircuit(2, Var(True)) == BoolCircuit(2, Var(np.int64(1))) == BoolCircuit(2, Var(1))
+    assert classical.circuit_to_text(BoolCircuit(2, Var(True))) == "x1"
 
 
 def test_only_the_fold_reads_a_nodes_operands():

@@ -155,22 +155,35 @@ def _witness_separation(u: np.ndarray, v: np.ndarray) -> float:
     return abs(helpers.truth_value_oracle(u, rho, p) - helpers.truth_value_oracle(v, rho, p))
 
 
+PHASE_KINDS = ("straddle", "degenerate", "conjugate", "quarter", "near-one")
+
+
 def _phase_family(kind: str, dim: int, gen: np.random.Generator) -> np.ndarray:
     """Eigenphases of V*U: phases that straddle +-pi within an arc of width
     up to 2pi, or a few phases repeated, with antipodal pairs and one
-    eigenvalue written both as -pi and as pi."""
+    eigenvalue written both as -pi and as pi; conjugate pairs theta and
+    -theta + delta, whose cosines lie delta |sin theta| apart on either
+    side of the cut between runs; every phase +-pi/2, one run of equal
+    cosine; or every phase within 1e-3 of 0."""
     if kind == "straddle":
         width = gen.uniform(1e-3, 2 * np.pi)
         phases = np.pi + gen.uniform(-width / 2, width / 2, dim)
         phases[:2] = np.pi - width / 2, np.pi + width / 2
         return phases
+    if kind == "quarter":
+        return gen.choice([np.pi / 2, -np.pi / 2], dim)
+    if kind == "near-one":
+        return gen.uniform(-1e-3, 1e-3, dim)
     theta, other = gen.uniform(-np.pi, np.pi, 2)
-    palette = np.array([np.pi, -np.pi, theta, theta + np.pi, other])
+    if kind == "conjugate":
+        palette = np.array([theta, -theta + 10 ** gen.uniform(-9, -4), other])
+    else:
+        palette = np.array([np.pi, -np.pi, theta, theta + np.pi, other])
     return palette[gen.integers(0, len(palette), dim)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 16), st.sampled_from(["random", "straddle", "degenerate"]),
+@given(st.integers(2, 16), st.sampled_from(("random",) + PHASE_KINDS),
        st.integers(0, 2 ** 32 - 1))
 def test_equiv_total_witness_reaches_the_hull_bound(dim, kind, seed):
     # at a pure state U psi and V psi lie sqrt(1 - |<psi|V*U|psi>|^2) apart,
@@ -190,6 +203,47 @@ def test_equiv_total_witness_reaches_the_hull_bound(dim, kind, seed):
         u = v @ (w * evals) @ w.conj().T
     r = helpers.hull_distance(evals)
     assert _witness_separation(u, v) == pytest.approx(math.sqrt(1 - r * r), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 32), st.sampled_from(("random",) + PHASE_KINDS),
+       st.integers(0, 2 ** 32 - 1))
+def test_unitary_eig_returns_an_orthonormal_eigenbasis(dim, kind, seed):
+    # inside a run of equal cosine eig settles the basis exactly; across a
+    # cut of width g eigh's vectors leak about eps / g into the other runs
+    gen = helpers.rng(seed)
+    if kind == "random":
+        m = helpers.random_unitary(gen, dim)
+        phases = np.angle(np.linalg.eigvals(m))
+    else:
+        phases = _phase_family(kind, dim, gen)
+        w = helpers.random_unitary(gen, dim)
+        m = (w * np.exp(1j * phases)) @ w.conj().T
+    evals, q = logic._unitary_eig(m)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(dim))) <= 1e-12
+    gaps = np.diff(np.sort(np.cos(phases)))
+    cuts = gaps[gaps > logic._COS_RUN / 2]
+    leak = 1e-14 / cuts.min() if cuts.size else 0.0
+    assert np.max(np.abs(m @ q - q * evals)) <= 1e-12 + leak
+
+
+def test_equiv_total_takes_eig_only_on_a_run_of_equal_cosine():
+    def eig_shapes(u, v):
+        with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+            assert not equiv_total(qcore.UnitaryGate(u), qcore.UnitaryGate(v)).holds
+        return [c.args[0].shape for c in eig.call_args_list]
+
+    # a random pair's cosines are all apart: one eigh and no eig
+    gen = helpers.rng(5)
+    assert eig_shapes(helpers.random_unitary(gen, 32), helpers.random_unitary(gen, 32)) == []
+    # every eigenvalue +-i: one run of cosine 0, the whole 4 x 4 block
+    w = helpers.random_unitary(gen, 4)
+    u = (w * np.array([1j, -1j, 1j, -1j])) @ w.conj().T
+    assert eig_shapes(u, np.eye(4)) == [(4, 4)]
+    assert _witness_separation(u, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+    # a run of one repeated eigenvalue is diagonal already
+    u = (w * np.array([1j, 1j, 1j, 1.0])) @ w.conj().T
+    assert eig_shapes(u, np.eye(4)) == []
 
 
 def test_equiv_total_witness_across_pi_and_with_repeated_eigenvalues():

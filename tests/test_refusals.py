@@ -226,6 +226,14 @@ REFUSALS = [
     ("StochasticOutput, a negative width",
      lambda: classical.StochasticOutput(1, -1, {}),
      ValidationFailure, "invariant 'register-size' violated by 0.000e+00 (negative width)"),
+    ("StochasticOutput, a row that is a string",
+     lambda: classical.StochasticOutput(1, 1, {"0": "10", "1": "01"}),
+     ValidationFailure,
+     "invariant 'row-entries' violated by 0.000e+00 (row '0' is a str, not numbers)"),
+    ("StochasticOutput, a row that is bytes",
+     lambda: classical.StochasticOutput(1, 1, {"0": (1.0, 0.0), "1": b"01"}),
+     ValidationFailure,
+     "invariant 'row-entries' violated by 0.000e+00 (row '1' is a bytes, not numbers)"),
     ("StochasticOutput, a width past 64 bits",
      lambda: classical.StochasticOutput(65, 1, {}),
      SizeCapExceeded,
