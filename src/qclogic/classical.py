@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -64,62 +64,95 @@ def apply_reversible(name: str, wires: Sequence[int], index: int, width: int) ->
     return index ^ masks[-1] if all(index & m for m in masks[:-1]) else index
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Equality, hash and repr of an expression tree, each by one walk of
+    :func:`_fold`, not dataclass's recursion into the tree.  Two trees are
+    equal when their shapes, operators and leaves are, so ``Var(True)``
+    equals ``Var(1)``."""
+
+    def _tokens(self) -> tuple:
+        # operators and leaves in the fold's order, which fixes the shape
+        out: list = []
+        _fold(self, lambda leaf: out.append(("x", leaf.index) if isinstance(leaf, Var)
+                                            else ("leaf", leaf)),
+              lambda op, args: out.append(op))
+        return tuple(out)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._tokens() == other._tokens()
+
+    def __hash__(self):
+        return hash(self._tokens())
+
+    def __repr__(self):
+        def gate(op, args):
+            names = (f.name for f in fields(_NODES[op]))
+            return f"{_NODES[op].__name__}({', '.join(f'{n}={a}' for n, a in zip(names, args))})"
+
+        return _fold(self, lambda leaf: f"Var(index={leaf.index!r})"
+                     if isinstance(leaf, Var) else repr(leaf), gate)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     """Tap on input wire ``index``."""
     index: int
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     child: "Expr"
+    op = "not"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "Expr"
     right: "Expr"
+    op = "or"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "Expr"
     right: "Expr"
+    op = "and"
 
 
 Expr = Union[Var, Not, Or, And]
 
 
-# each gate node class and its operator: the name of its table in _GATES and
-# the head of its s-expression
-_OPS = {Not: "not", Or: "or", And: "and"}
-_NODES = {op: cls for cls, op in _OPS.items()}
+# the gate node classes, by their operator: the name of its table in _GATES
+# and the head of its s-expression
+_NODES = {cls.op: cls for cls in (Not, Or, And)}
 
 
 def _fold(root, tap, gate):
     """Combine values bottom-up over the tree at ``root`` with an explicit
-    stack: ``tap(var)`` at each input tap, and ``gate(op, args)`` at each
-    gate, ``args`` being its operands' values in order.
+    stack: ``tap(leaf)`` at each node that is no gate, which in a
+    well-formed tree is an input tap, and ``gate(op, args)`` at each gate,
+    ``args`` being its operands' values in order.  An instance of a
+    subclass of a gate class is a gate of that class.
 
     Each node is visited before its right subtree, and that before its
-    left, and the first fault in that order is the one raised.  A node of
-    any other type raises ``ValidationFailure('circuit-node')``.
+    left, so the first fault a ``tap`` or ``gate`` raises in that order is
+    the one raised.
     """
     stack, values = [(root, 0)], []
     while stack:
         node, k = stack.pop()
-        if k:       # a gate whose k operands' values are the last k, right first
+        if k:       # a gate's operator, whose k operands' values are the last k, right first
             args = tuple(values[:-k - 1:-1])
             del values[-k:]
-            values.append(gate(_OPS[type(node)], args))
-        elif isinstance(node, Var):
-            values.append(tap(node))
-        elif type(node) in _OPS:
-            operands = (node.child,) if type(node) is Not else (node.left, node.right)
-            stack.append((node, len(operands)))
+            values.append(gate(node, args))
+        elif isinstance(node, (Not, Or, And)):
+            operands = (node.child,) if node.op == "not" else (node.left, node.right)
+            stack.append((node.op, len(operands)))
             stack.extend((operand, 0) for operand in operands)
         else:
-            raise ValidationFailure("circuit-node", 0.0, f"bad node {node!r}")
+            values.append(tap(node))
     return values.pop()
 
 
@@ -146,21 +179,15 @@ class BoolCircuit:
         object.__setattr__(self, "arity", arity)
 
         def tap(var: Var) -> None:
+            if not isinstance(var, Var):
+                raise ValidationFailure("circuit-node", 0.0, f"bad node {var!r}")
             if not 0 <= _integer(var.index, "input") < arity:
                 raise ArityMismatch(f"input x{var.index} out of range for arity {arity}")
 
         _fold(self.root, tap, lambda op, args: None)
 
-    # equality, hash and repr go through the s-expression, one walk by
-    # _fold, not dataclass's recursion into the tree
-    def __eq__(self, other):
-        if type(other) is not BoolCircuit:
-            return NotImplemented
-        return (self.arity, circuit_to_text(self)) == (other.arity, circuit_to_text(other))
-
-    def __hash__(self):
-        return hash((self.arity, circuit_to_text(self)))
-
+    # equality and hash are dataclass's, on the arity and the root's own;
+    # the repr prints the root as its s-expression
     def __repr__(self):
         return f"BoolCircuit(arity={self.arity}, root={circuit_to_text(self)!r})"
 

@@ -215,20 +215,21 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate,
     At a pure state psi, U psi and V psi lie sqrt(1 - |<psi|m|psi>|^2)
     apart, and <psi|m|psi> ranges over the convex hull of m's eigenvalues.
     psi superposes eigenvectors of at most three distinct eigenvalues,
-    weighted to the point of the hull nearest 0, at distance r.  If every
-    eigenphase fits in an arc of at most pi, that is the midpoint of the
-    arc's ends; otherwise it is 0, inside the triangle of an eigenvalue,
-    the last one less than pi after it and the first one at least pi after
-    it.  The event from :func:`_witness` separates the two truth values by
-    sqrt(1 - r^2), the most any context can.  The eigenpairs come from
-    :func:`_unitary_eig`; within a repeated eigenvalue any eigenvector
-    serves, since every unit vector's <psi|m|psi> lies in the hull.
+    weighted to the hull's point nearest 0, at distance r: the midpoint of
+    the ends of an arc of at most pi that holds every eigenphase, or else
+    0, inside the triangle of an eigenvalue, the last one less than pi
+    after it and the first one at least pi after it.  With a = U psi,
+    b = V psi and c = <a|b>, the event is onto e = (1 + s) a - conj(c) b,
+    the +s eigenvector of |a><a| - |b><b|: U's truth value exceeds V's by
+    s = sqrt(1 - r^2), the most any context can, taken without cancellation
+    as |a - e^{-i arg c} b| sqrt((1 + |c|) / 2).  If s or e is 0, a and b
+    agree to rounding and the event is |a><a|.
     """
     evals, evecs = _unitary_eig(m)
     order = np.argsort(np.angle(evals))
-    # one index per distinct eigenvalue, by phase: the eigensolver spreads a
-    # repeated eigenvalue of a 1024 x 1024 unitary over about 3e-14, and
-    # np.angle may put one eigenvalue at both -pi and pi
+    # one index, and any eigenvector, per distinct eigenvalue, by phase: the
+    # eigensolver spreads a repeated eigenvalue of a 1024 x 1024 unitary over
+    # about 3e-14, and np.angle may put one eigenvalue at both -pi and pi
     repeat = np.abs(evals[order] - evals[np.roll(order, 1)]) <= 1e-11
     idx = order[~repeat] if not repeat.all() else order[:1]
     # phases after the first, in [0, 2 pi), and the gaps between neighbours
@@ -244,8 +245,12 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate,
         weights = np.maximum([np.sin(sc - sb), -np.sin(sc), np.sin(sb)], 0.0)
     psi = evecs[:, pick] @ np.sqrt(weights)
     psi = psi / np.linalg.norm(psi)
-    moved = _rank_one(u.matrix @ psi) - _rank_one(v.matrix @ psi)
-    return DensityOperator(_rank_one(psi)), Projector(_witness(moved))
+    a, b = u.matrix @ psi, v.matrix @ psi
+    c = np.vdot(a, b)
+    s = np.linalg.norm(a - np.exp(-1j * np.angle(c)) * b) * math.sqrt((1 + abs(c)) / 2)
+    e = (1 + s) * a - c.conjugate() * b
+    n = np.linalg.norm(e)
+    return DensityOperator(_rank_one(psi)), Projector(_rank_one(e / n if s and n else a))
 
 
 # neighbouring cosines further apart than this end a run.  Across a cut of

@@ -411,8 +411,8 @@ def matrix_to_json(matrix) -> dict:
     m = as_square_matrix(matrix)
     return {
         "dim": int(m.shape[0]),
-        "re": [float(x) for x in m.real.reshape(-1)],
-        "im": [float(x) for x in m.imag.reshape(-1)],
+        "re": m.real.reshape(-1).tolist(),
+        "im": m.imag.reshape(-1).tolist(),
     }
 
 

@@ -347,6 +347,18 @@ def test_a_disjunction_of_2000_inputs_compares_hashes_and_reprs():
     # an index is compared and printed as the integer it stands for
     assert BoolCircuit(2, Var(True)) == BoolCircuit(2, Var(np.int64(1))) == BoolCircuit(2, Var(1))
     assert classical.circuit_to_text(BoolCircuit(2, Var(True))) == "x1"
+    # so do the roots themselves, in dataclass's format
+    assert c.root == copy.root and hash(c.root) == hash(copy.root)
+    assert c.root != other.root and len({c.root, copy.root, other.root}) == 2
+    text = repr(c.root)
+    assert text.startswith("Or(left=Var(index=0), right=Or(left=Var(index=1), right=Or(")
+    assert text.endswith("right=Var(index=1999)" + ")" * 1999)
+    assert repr(Or(Var(0), Not(Var(1)))) == "Or(left=Var(index=0), right=Not(child=Var(index=1)))"
+    assert Var(True) == Var(np.int64(1)) == Var(1) and hash(Var(True)) == hash(Var(1))
+    assert Or(Var(0), Var(1)) != And(Var(0), Var(1)) and Not(Var(0)) != Var(0)
+    # a tree with a leaf that is no expression compares and prints as before
+    assert Or(Var(0), "x") == Or(Var(0), "x") != Or(Var(0), "y")
+    assert repr(And("x", None)) == "And(left='x', right=None)"
 
 
 def test_only_the_fold_reads_a_nodes_operands():

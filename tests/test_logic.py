@@ -1,8 +1,11 @@
+import ast
+import inspect
 import itertools
 import math
 from collections import Counter
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +134,96 @@ def test_equiv_total_witness_separates_random_pairs():
             gap = abs(truth_value(u, rep.witness_state, rep.witness_event)
                       - truth_value(v, rep.witness_state, rep.witness_event))
             assert gap > 1e-8
+
+
+# failing pairs whose event used to hang on which end eigh's rounding put
+# first, or not: the latter print the same bytes as before
+_FAILING_WORDS = [("H", "Z"), ("H", "X"), ("X", "Z"), ("T", "Z"),
+                  ("width=2; H[0]; CNOT[0,1]", "width=2; CNOT[0,1]; H[0]"),
+                  ("width=3; QFT[0,1,2]", "width=3; QFT[0,1,2]; T[1]")]
+
+
+def test_equiv_total_event_favours_the_first_gate_by_the_hull_bound():
+    # the event is the +s eigenvector of |U psi><U psi| - |V psi><V psi|,
+    # chosen by rule: U's truth value there exceeds V's by s = sqrt(1 - r^2)
+    gen = helpers.rng(26)
+    pairs = [tuple(gates.compose_word(gates.parse_word(w)).matrix for w in words)
+             for words in _FAILING_WORDS]
+    pairs += [(helpers.random_unitary(gen, dim), helpers.random_unitary(gen, dim))
+              for dim in (2, 3, 4, 8, 16) for _ in range(4)]
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            rep = equiv_total(qcore.UnitaryGate(a), qcore.UnitaryGate(b))
+            assert not rep.holds
+            rho, p = rep.witness_state.matrix, rep.witness_event.matrix
+            gap = helpers.truth_value_oracle(a, rho, p) - helpers.truth_value_oracle(b, rho, p)
+            r = helpers.hull_distance(np.linalg.eigvals(b.conj().T @ a))
+            assert gap == pytest.approx(math.sqrt(1 - r * r), abs=1e-9)
+
+
+def _separation_and_s(u: np.ndarray, v: np.ndarray, rho: np.ndarray,
+                      p: np.ndarray) -> tuple:
+    """At 50 digits, with psi the witness state's vector, a = U psi and
+    b = V psi: <a|P|a> - <b|P|b>, and s, the largest eigenvalue of
+    |a><a| - |b><b|, which is sqrt(1 - |<a|b>|^2) for unit a and b."""
+    with mpmath.workdps(50):
+        mat = lambda m: mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                                       for row in m.tolist()])
+        k = int(np.argmax(np.diagonal(rho).real))
+        psi = mat(rho[:, [k]])
+        psi /= mpmath.norm(psi)
+        a, b, event = mat(u) * psi, mat(v) * psi, mat(p)
+        dot = lambda x, y: sum(mpmath.conj(x[i]) * y[i] for i in range(len(x)))
+        big, small, c = dot(a, a).real, dot(b, b).real, dot(a, b)
+        half = (big - small) / 2
+        s = half + mpmath.sqrt(half ** 2 + big * small - abs(c) ** 2)
+        return float((dot(a, event * a) - dot(b, event * b)).real), float(s)
+
+
+def test_equiv_total_event_separates_by_s_to_1e_14():
+    # V = U W with W = exp(i eps H), H's eigenvalues spanning [-1, 1], so s
+    # is about sin(eps), from 1e-10 to 1; the closed form's s avoids the
+    # cancellation of sqrt(1 - |c|^2), which loses every digit below 1e-8
+    gen = helpers.rng(14)
+    for eps in np.logspace(-10, 0.19, 30):
+        dim = int(gen.integers(2, 17))
+        u, q = helpers.random_unitary(gen, dim), helpers.random_unitary(gen, dim)
+        lam = np.concatenate([[-1.0, 1.0], gen.uniform(-1, 1, dim - 2)])
+        v = u @ (q * np.exp(1j * eps * lam)) @ q.conj().T
+        rep = equiv_total(qcore.UnitaryGate(u), qcore.UnitaryGate(v), tol=0)
+        assert not rep.holds
+        sep, s = _separation_and_s(u, v, rep.witness_state.matrix, rep.witness_event.matrix)
+        assert s == pytest.approx(math.sin(eps), rel=0.05)
+        assert abs(sep - s) <= 1e-14
+
+
+def test_a_failing_equiv_total_takes_one_eigh_and_no_eig():
+    # the event is in closed form, so only _unitary_eig solves an
+    # eigenproblem, and _witness serves the context deciders alone
+    gen = helpers.rng(5)
+    u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, 32)) for _ in "uv")
+    with mock.patch.object(logic.np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(logic.np.linalg, "eig", wraps=np.linalg.eig) as eig:
+        assert not equiv_total(u, v).holds
+    assert (eigh.call_count, eig.call_count) == (1, 0)
+    callers = {fn.name for fn in ast.walk(ast.parse(inspect.getsource(logic)))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_witness"}
+    assert callers == {"_decide"}
+
+
+@pytest.mark.parametrize("word", ["H", "width=2; H[0]; CNOT[0,1]; H[1]",
+                                  "width=3; QFT[0,1,2]; T[1]"])
+def test_equiv_total_of_a_gate_and_itself_at_tol_0_gives_a_finite_witness(word):
+    # V*U misses I by rounding, so the relation fails at tol = 0, though
+    # U psi and V psi agree: s is 0, and the event is |U psi><U psi|
+    u = gates.compose_word(gates.parse_word(word))
+    rep = equiv_total(u, u, tol=0)
+    assert not rep.holds
+    rho, p = rep.witness_state.matrix, rep.witness_event.matrix
+    assert np.isfinite(p).all() and np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(p - u.matrix @ rho @ u.matrix.conj().T)) <= 1e-12
 
 
 def test_equiv_total_separates_wide_pairs_at_a_loose_tol():
