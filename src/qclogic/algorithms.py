@@ -28,9 +28,7 @@ from .qcore import (
     DEFAULT_TOL,
     UnitaryGate,
     _probability,
-    _strict_dict,
-    _strict_int,
-    _strict_list,
+    _strict,
     check_dim,
 )
 
@@ -86,8 +84,8 @@ def one_bit_functions() -> dict[str, OracleFunction]:
 def oracle_from_json(obj: dict) -> OracleFunction:
     """Parse ``{"n": ..., "m": ..., "table": {...}}``."""
     try:
-        return OracleFunction(_strict_int(obj["n"]), _strict_int(obj["m"]),
-                              _strict_dict(obj["table"]))
+        return OracleFunction(_strict(obj["n"], int), _strict(obj["m"], int),
+                              _strict(obj["table"], dict))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad oracle payload: {exc}")
 
@@ -196,7 +194,7 @@ class PeriodicSpec:
 
     def __post_init__(self):
         try:
-            n, r = _strict_int(self.modulus), _strict_int(self.period)
+            n, r = _strict(self.modulus, int), _strict(self.period, int)
         except ValueError as exc:
             raise InvalidSpec(f"N and r must be integers: {exc}") from None
         if n < 1 or r < 1:
@@ -204,7 +202,7 @@ class PeriodicSpec:
         if n % r != 0:
             raise InvalidSpec(f"period {r} does not divide N={n}")
         try:
-            vals = tuple(_strict_int(v) for v in self.values)
+            vals = tuple(_strict(v, int) for v in self.values)
         except ValueError as exc:
             raise InvalidSpec(f"values must be integers: {exc}") from None
         if len(vals) != n:
@@ -222,8 +220,8 @@ class PeriodicSpec:
 def periodic_from_json(obj: dict) -> PeriodicSpec:
     """Parse ``{"N": ..., "r": ..., "f": [...]}``."""
     try:
-        return PeriodicSpec(_strict_int(obj["N"]), _strict_int(obj["r"]),
-                            tuple(_strict_int(v) for v in _strict_list(obj["f"])))
+        return PeriodicSpec(_strict(obj["N"], int), _strict(obj["r"], int),
+                            tuple(_strict(v, int) for v in _strict(obj["f"], list)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad periodic spec payload: {exc}")
 

@@ -26,7 +26,7 @@ from .errors import (
     UnknownInput,
     ValidationFailure,
 )
-from .qcore import _strict_dict, _strict_int, _strict_list
+from .qcore import _strict
 
 # truth tables of the generating gates, written out rather than derived
 _NOT = {(0,): 1, (1,): 0}
@@ -467,7 +467,7 @@ def machine_from_json(obj: dict) -> StochasticOutput:
     """Inverse of :func:`machine_to_json`; constructor revalidates."""
     try:
         return StochasticOutput(
-            _strict_int(obj["M"]), _strict_int(obj["N"]),
-            {x: _strict_list(row) for x, row in _strict_dict(obj["rows"]).items()})
+            _strict(obj["M"], int), _strict(obj["N"], int),
+            {x: _strict(row, list) for x, row in _strict(obj["rows"], dict).items()})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad stochastic table payload: {exc}")

@@ -89,14 +89,9 @@ def _basis_index(token: str, dim: int) -> int:
 
 
 def _operator_matrix(token: str, dim: int) -> np.ndarray:
-    """A state/event spec: "basis:K", "uniform", inline JSON, or a file."""
+    """A state/event spec other than "basis:K": "uniform", JSON or a file."""
     if token == "uniform":
         return np.eye(dim, dtype=complex) / dim
-    if token.startswith("basis:"):
-        idx = _basis_index(token, dim)
-        m = np.zeros((dim, dim), dtype=complex)
-        m[idx, idx] = 1.0
-        return m
     return qcore.matrix_from_json(_load_json_payload(token))
 
 
@@ -114,6 +109,8 @@ def _operand(args, attr: str, dim: int):
     if token is None:
         raise ValidationFailure("cli-context", 0.0,
                                 f"this relation needs {what} (--{attr})")
+    if token.startswith("basis:"):
+        return qcore._rank_one(cls, np.eye(1, dim, _basis_index(token, dim), dtype=complex)[0])
     return cls(_operator_matrix(token, dim))
 
 
@@ -226,8 +223,8 @@ def _cmd_boolean_recover(args) -> int:
     if args.cases < 1:
         raise InvalidArgument(f"cases must be >= 1, got {args.cases}")
     dim = 2 ** bits
-    basis = [qcore.Projector(_operator_matrix(f"basis:{k}", dim)) for k in range(dim)]
-    states = [qcore.DensityOperator(p.matrix) for p in basis]
+    basis = [qcore._rank_one(qcore.Projector, e) for e in np.eye(dim, dtype=complex)]
+    states = [qcore._rank_one(qcore.DensityOperator, e) for e in np.eye(dim, dtype=complex)]
     lattice = omlattice.projection_oml(dim, basis)
     reports = omlattice.verify_laws(lattice)
     by_law = {r.law: r.holds for r in reports}

@@ -34,6 +34,7 @@ from .qcore import (
     _evolve,
     _pairing,
     _probability,
+    _rank_one,
     check_tol,
     entry_key,
     matrix_to_json,
@@ -98,18 +99,14 @@ def _check_context(tol: float, *dims: int):
         raise DimensionMismatch(f"dimensions differ: {dims}")
 
 
-def _rank_one(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
 def _witness(diff: np.ndarray, *, most_negative: bool = False) -> np.ndarray:
-    """|w><w| for the unit eigenvector w of diff's Hermitian part whose
-    eigenvalue is largest in magnitude (ties toward the positive end), or
-    most negative: the event or state on which two invariants differ most."""
+    """The unit eigenvector w of diff's Hermitian part whose eigenvalue is
+    largest in magnitude (ties toward the positive end), or most negative:
+    |w><w| is the event or state on which two invariants differ most."""
     evals, evecs = np.linalg.eigh((diff + diff.conj().T) / 2)
     top = not most_negative and abs(evals[-1]) >= abs(evals[0])
     w = evecs[:, -1 if top else 0]
-    return _rank_one(w / np.linalg.norm(w))
+    return w / np.linalg.norm(w)
 
 
 def _invariant(u: UnitaryGate, rho: DensityOperator | None,
@@ -151,8 +148,8 @@ def _decide(relation: str, u: UnitaryGate, v: UnitaryGate,
         return EquivalenceReport(relation, True, tol)
     w = _witness(diff, most_negative=not equal)
     if p is None:
-        return EquivalenceReport(relation, False, tol, witness_event=Projector(w))
-    return EquivalenceReport(relation, False, tol, witness_state=DensityOperator(w))
+        return EquivalenceReport(relation, False, tol, witness_event=_rank_one(Projector, w))
+    return EquivalenceReport(relation, False, tol, witness_state=_rank_one(DensityOperator, w))
 
 
 def equiv_rho_P(u: UnitaryGate, v: UnitaryGate, rho: DensityOperator,
@@ -223,21 +220,23 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate,
     the +s eigenvector of |a><a| - |b><b|: U's truth value exceeds V's by
     s = sqrt(1 - r^2), the most any context can, taken without cancellation
     as |a - e^{-i arg c} b| sqrt((1 + |c|) / 2).  If s or e is 0, a and b
-    agree to rounding and the event is |a><a|.
+    agree to rounding and the event is onto a.
     """
     evals, evecs = _unitary_eig(m)
     order = np.argsort(np.angle(evals))
-    # one index, and any eigenvector, per distinct eigenvalue, by phase: the
-    # eigensolver spreads a repeated eigenvalue of a 1024 x 1024 unitary over
-    # about 3e-14, and np.angle may put one eigenvalue at both -pi and pi
+    # runs by phase of eigenvalues within 1e-11 of the one before, idx their
+    # first indices and last their last: eigensolvers spread a repeated
+    # eigenvalue over 3e-14 at d = 1024, and np.angle may put one at -pi and pi
     repeat = np.abs(evals[order] - evals[np.roll(order, 1)]) <= 1e-11
-    idx = order[~repeat] if not repeat.all() else order[:1]
+    starts = np.flatnonzero(~repeat)
+    idx = order[starts] if starts.size else order[:1]
+    last = order[np.roll(starts, -1) - 1] if starts.size else idx
     # phases after the first, in [0, 2 pi), and the gaps between neighbours
     after = np.angle(evals[idx]) - np.angle(evals[idx[0]])
     gaps = np.diff(after, append=2 * np.pi)
     j = int(np.argmax(gaps))
     if gaps[j] >= np.pi:
-        pick, weights = [idx[j], idx[(j + 1) % len(idx)]], [0.5, 0.5]
+        pick, weights = [last[j], idx[(j + 1) % len(idx)]], [0.5, 0.5]
     else:
         b = int(np.flatnonzero(after < np.pi)[-1])
         sb, sc = after[b], after[b + 1]
@@ -250,7 +249,8 @@ def _separating_context(u: UnitaryGate, v: UnitaryGate,
     s = np.linalg.norm(a - np.exp(-1j * np.angle(c)) * b) * math.sqrt((1 + abs(c)) / 2)
     e = (1 + s) * a - c.conjugate() * b
     n = np.linalg.norm(e)
-    return DensityOperator(_rank_one(psi)), Projector(_rank_one(e / n if s and n else a))
+    event = e / n if s and n else a / np.linalg.norm(a)
+    return _rank_one(DensityOperator, psi), _rank_one(Projector, event)
 
 
 # neighbouring cosines further apart than this end a run.  Across a cut of

@@ -52,7 +52,7 @@ from .qcore import (
     Projector,
     UnitaryGate,
     _probability,
-    _strict_list,
+    _strict,
     check_dim,
     check_tol,
     entry_key,
@@ -984,7 +984,7 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
     is the intended order; the closure is taken before validation.
     """
     try:
-        labels = _strict_list(obj["elements"])
+        labels = _strict(obj["elements"], list)
         if not all(isinstance(s, str) for s in labels):
             raise ValueError("every element must be a string")
         n = len(labels)
@@ -995,7 +995,7 @@ def lattice_from_json(obj: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) ->
         pos = {s: i for i, s in enumerate(labels)}
         leq = np.zeros((n, n), dtype=bool)
         for a, ups in obj["leq"].items():
-            for b in _strict_list(ups):
+            for b in _strict(ups, list):
                 leq[pos[a], pos[b]] = True
         ortho = np.zeros(n, dtype=np.intp)
         for a, b in obj["ortho"].items():

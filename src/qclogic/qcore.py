@@ -166,6 +166,22 @@ def validate(matrix, kind: str, tolerance: float = DEFAULT_TOL):
     return cls(matrix, tolerance)
 
 
+def _rank_one(cls: type, v: np.ndarray):
+    """|v><v| as a ``cls``, DensityOperator or Projector, at the default
+    tolerance, checked as v alone: finite entries and |<v|v> - 1| within the
+    tolerance imply every invariant the dense check tests."""
+    if not np.all(np.isfinite(v)):
+        raise ValidationFailure("finite", float("inf"))
+    gap = abs(np.vdot(v, v).real - 1.0)
+    if gap > DEFAULT_TOL:
+        raise ValidationFailure("unit-norm", gap)
+    matrix = np.outer(v, v.conj())
+    matrix.setflags(write=False)
+    op = object.__new__(cls)
+    op.__dict__.update(matrix=matrix, tolerance=DEFAULT_TOL)
+    return op
+
+
 def _evolve(u: UnitaryGate, rho: np.ndarray) -> np.ndarray:
     """U rho U* for a valid state's matrix rho, not validated again."""
     if u.dim != len(rho):
@@ -383,27 +399,16 @@ def boolean_projections(
 # JSON interchange
 
 
-def _strict_int(x) -> int:
-    """A field documented as an integer: a Python or numpy integer other than
-    a bool, as a Python int.  Anything else raises ValueError, which each
-    JSON reader turns into its own refusal."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"expected an integer, got {type(x).__name__}")
-    return int(x)
-
-
-def _strict_list(x) -> list:
-    """A field documented as a list; anything else raises ValueError."""
-    if not isinstance(x, list):
-        raise ValueError(f"expected a list, got {type(x).__name__}")
-    return x
-
-
-def _strict_dict(x) -> dict:
-    """A field documented as an object; anything else raises ValueError."""
-    if not isinstance(x, dict):
-        raise ValueError(f"expected an object, got {type(x).__name__}")
-    return x
+def _strict(x, kind: type):
+    """A field documented as an integer, a list or an object, for ``kind``
+    int, list or dict.  An integer is a Python or numpy integer other than a
+    bool, returned as a Python int.  Anything else raises ValueError, which
+    each JSON reader turns into its own refusal."""
+    name, types = {int: ("an integer", (int, np.integer)), list: ("a list", list),
+                   dict: ("an object", dict)}[kind]
+    if isinstance(x, bool) or not isinstance(x, types):
+        raise ValueError(f"expected {name}, got {type(x).__name__}")
+    return int(x) if kind is int else x
 
 
 def matrix_to_json(matrix) -> dict:
@@ -420,7 +425,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; validates the dimension against
     the cap before allocating, and the type and length of ``re`` and ``im``."""
     try:
-        dim = _strict_int(obj["dim"])
+        dim = _strict(obj["dim"], int)
         re = obj["re"]
     except (KeyError, TypeError) as exc:
         raise ValidationFailure("matrix-json", 0.0, f"missing field: {exc}")

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def test_check_equiv_rho_relation(capsys):
     code, payload = run_json(capsys, "check-equiv", "", "X",
                              "--relation", "equiv_rho", "--state", "basis:0")
     assert code == 1
+
+
+def test_a_basis_context_is_checked_as_its_vector(capsys):
+    # basis:K is |K><K|, built from the unit vector |K> with no eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        code, payload = run_json(capsys, "check-equiv", "H", "H",
+                                 "--relation", "equiv_rho", "--state", "basis:0")
+    assert code == 0 and payload["holds"] is True
+    assert eigvalsh.call_count == 0
 
 
 def test_check_equiv_missing_context_is_exit_2(capsys):

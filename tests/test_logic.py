@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import inspect
 import itertools
 import math
@@ -195,6 +196,10 @@ def test_equiv_total_event_separates_by_s_to_1e_14():
         sep, s = _separation_and_s(u, v, rep.witness_state.matrix, rep.witness_event.matrix)
         assert s == pytest.approx(math.sin(eps), rel=0.05)
         assert abs(sep - s) <= 1e-14
+        # the arc's ends are eps apart from 0 on either side, so the witness
+        # reaches the hull bound sin(eps), even where eigenvalues within
+        # 1e-11 of each other make one run
+        assert abs(sep - math.sin(eps)) <= 1e-15
 
 
 def test_a_failing_equiv_total_takes_one_eigh_and_no_eig():
@@ -202,15 +207,50 @@ def test_a_failing_equiv_total_takes_one_eigh_and_no_eig():
     # eigenproblem, and _witness serves the context deciders alone
     gen = helpers.rng(5)
     u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, 32)) for _ in "uv")
-    with mock.patch.object(logic.np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
-            mock.patch.object(logic.np.linalg, "eig", wraps=np.linalg.eig) as eig:
+    with _counting("eigh", "eig", "eigvalsh") as calls:
         assert not equiv_total(u, v).holds
-    assert (eigh.call_count, eig.call_count) == (1, 0)
+    assert calls() == (1, 0, 0)
     callers = {fn.name for fn in ast.walk(ast.parse(inspect.getsource(logic)))
                if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_witness"}
     assert callers == {"_decide"}
+
+
+@contextlib.contextmanager
+def _counting(*names):
+    """Count calls of the named np.linalg functions; yields a function that
+    returns the counts in the order named."""
+    with contextlib.ExitStack() as stack:
+        mocks = [stack.enter_context(mock.patch.object(
+            np.linalg, name, wraps=getattr(np.linalg, name))) for name in names]
+        yield lambda: tuple(m.call_count for m in mocks)
+
+
+def test_a_witness_is_checked_as_its_vector():
+    # the decider's verdict is its only eigenproblem besides _witness's eigh:
+    # the rank-one witness is built from its unit vector, with no eigvalsh
+    gen = helpers.rng(8)
+    u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, 16)) for _ in "uv")
+    psi = helpers.random_unitary(gen, 16)[:, 0]
+    p = qcore.Projector(np.outer(psi, psi.conj()))
+    with _counting("eigh", "eigvalsh") as calls:
+        assert not equiv_P(u, v, p).holds
+    assert calls() == (1, 0)
+    with _counting("eigh", "eigvalsh") as calls:
+        rep = leq_P(u, v, p)
+    assert not rep.holds and calls() == (1, 1)
+    assert rep == helpers.decider_oracle("leq_P", u, v, p, tol=qcore.DEFAULT_TOL)
+
+
+def test_logic_builds_no_state_or_event_from_a_matrix():
+    # every state and event logic returns is rank one, built by
+    # qcore._rank_one from its unit vector
+    built = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(ast.parse(inspect.getsource(logic)))
+             if isinstance(node, ast.Call)}
+    assert not built & {"DensityOperator", "Projector"}
+    assert "_rank_one" in built
 
 
 @pytest.mark.parametrize("word", ["H", "width=2; H[0]; CNOT[0,1]; H[1]",
@@ -224,6 +264,17 @@ def test_equiv_total_of_a_gate_and_itself_at_tol_0_gives_a_finite_witness(word):
     rho, p = rep.witness_state.matrix, rep.witness_event.matrix
     assert np.isfinite(p).all() and np.trace(p).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(p - u.matrix @ rho @ u.matrix.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("word", ["H", "width=6; QFT[0,1,2,3,4,5]"])
+def test_equiv_total_of_a_gate_valid_at_a_looser_tolerance_gives_a_unit_event(word):
+    # U is unitary only within 1e-8, at its tolerance 1e-7: U psi has norm
+    # 1 + 3e-9, so the event onto it is normalized before it is checked
+    m = gates.compose_word(gates.parse_word(word)).matrix * (1 + 3e-9)
+    u = qcore.UnitaryGate(m, 1e-7)
+    rep = equiv_total(u, u, tol=0)
+    assert not rep.holds
+    assert np.trace(rep.witness_event.matrix).real == pytest.approx(1.0, abs=1e-15)
 
 
 def test_equiv_total_separates_wide_pairs_at_a_loose_tol():

@@ -86,6 +86,33 @@ def test_operators_refuse_a_negative_or_nan_tolerance(kind, tol):
     assert exc.value.invariant == "tolerance"
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 128])
+@pytest.mark.parametrize("cls", [qcore.DensityOperator, qcore.Projector])
+def test_rank_one_equals_the_dense_checked_operator(cls, dim):
+    gen = helpers.rng(dim)
+    for _ in range(5):
+        v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        v /= np.linalg.norm(v)
+        fast, dense = qcore._rank_one(cls, v), cls(np.outer(v, v.conj()))
+        assert type(fast) is cls and fast.tolerance == dense.tolerance
+        assert fast.matrix.tobytes() == dense.matrix.tobytes()
+        assert fast.matrix.shape == (dim, dim) and not fast.matrix.flags.writeable
+        assert fast == dense and hash(fast) == hash(dense)
+
+
+@pytest.mark.parametrize("cls", [qcore.DensityOperator, qcore.Projector])
+def test_rank_one_refuses_a_nan_entry_or_a_norm_off_by_more_than_the_tolerance(cls):
+    v = np.array([0.6, 0.8j])
+    qcore._rank_one(cls, v * (1 + 0.4 * qcore.DEFAULT_TOL))
+    with pytest.raises(ValidationFailure) as exc:
+        qcore._rank_one(cls, np.array([np.nan, 1.0]))
+    assert exc.value.invariant == "finite"
+    for scale in (1 + qcore.DEFAULT_TOL, 1 - qcore.DEFAULT_TOL, 0.0):
+        with pytest.raises(ValidationFailure) as exc:
+            qcore._rank_one(cls, v * scale)
+        assert exc.value.invariant == "unit-norm"
+
+
 @pytest.mark.parametrize("name", sorted(gates._GATES))
 def test_dagger_of_every_gate_block(name):
     # the conjugate transpose is not contiguous in its last axis
