@@ -110,7 +110,7 @@ def _operand(args, attr: str, dim: int):
         raise ValidationFailure("cli-context", 0.0,
                                 f"this relation needs {what} (--{attr})")
     if token.startswith("basis:"):
-        return qcore._rank_one(cls, np.eye(1, dim, _basis_index(token, dim), dtype=complex)[0])
+        return qcore._onto(cls, np.eye(1, dim, _basis_index(token, dim), dtype=complex)[0])
     return cls(_operator_matrix(token, dim))
 
 
@@ -223,8 +223,8 @@ def _cmd_boolean_recover(args) -> int:
     if args.cases < 1:
         raise InvalidArgument(f"cases must be >= 1, got {args.cases}")
     dim = 2 ** bits
-    basis = [qcore._rank_one(qcore.Projector, e) for e in np.eye(dim, dtype=complex)]
-    states = [qcore._rank_one(qcore.DensityOperator, e) for e in np.eye(dim, dtype=complex)]
+    basis = [qcore._onto(qcore.Projector, e) for e in np.eye(dim, dtype=complex)]
+    states = [qcore._onto(qcore.DensityOperator, e) for e in np.eye(dim, dtype=complex)]
     lattice = omlattice.projection_oml(dim, basis)
     reports = omlattice.verify_laws(lattice)
     by_law = {r.law: r.holds for r in reports}

@@ -109,8 +109,10 @@ class ParseError(QclError):
 
 
 class HierarchyViolation(QclError):
-    """The equivalence-relation implication chain failed; this indicates a
-    bug in the relation implementations, not bad user input."""
+    """``hierarchy_check`` found total => state => pointwise broken.  Under
+    the one meaning of ``tol`` these implications are theorems, so this
+    fires only when two computed gaps lie within rounding of ``tol`` on
+    either side, or on a defect in the deciders; not on bad user input."""
 
 
 class InvalidArgument(QclError, ValueError):

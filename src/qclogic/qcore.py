@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,6 +108,12 @@ class _Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_factor` of a state's or an event's matrix, computed on
+        first use and kept; it takes no part in ``==`` or the hash."""
+        return _factor(self.matrix)
+
 
 class DensityOperator(_Operator):
     """A self-adjoint, positive semidefinite, trace-one matrix."""
@@ -166,20 +173,52 @@ def validate(matrix, kind: str, tolerance: float = DEFAULT_TOL):
     return cls(matrix, tolerance)
 
 
-def _rank_one(cls: type, v: np.ndarray):
-    """|v><v| as a ``cls``, DensityOperator or Projector, at the default
-    tolerance, checked as v alone: finite entries and |<v|v> - 1| within the
-    tolerance imply every invariant the dense check tests."""
-    if not np.all(np.isfinite(v)):
+def _onto(cls: type, q: np.ndarray):
+    """The projector onto the orthonormal columns of q, a vector or a d x k
+    matrix, as a ``cls`` at the default tolerance: a Projector, or for one
+    column a DensityOperator.  It is checked as q alone: finite entries and
+    ||q*q - I||_F within the tolerance (for one column, |<q|q> - 1|) imply
+    every invariant the dense check tests.  q is kept as the factor."""
+    q = np.array(q, dtype=complex).reshape(len(q), -1)
+    if not np.all(np.isfinite(q)):
         raise ValidationFailure("finite", float("inf"))
-    gap = abs(np.vdot(v, v).real - 1.0)
+    k = q.shape[1]
+    gap = float(np.linalg.norm(q.conj().T @ q - np.eye(k)))
     if gap > DEFAULT_TOL:
-        raise ValidationFailure("unit-norm", gap)
-    matrix = np.outer(v, v.conj())
+        raise ValidationFailure("unit-norm" if k == 1 else "orthonormal", gap)
+    matrix = np.outer(q[:, 0], q[:, 0].conj()) if k == 1 else q @ q.conj().T
     matrix.setflags(write=False)
+    q.setflags(write=False)
     op = object.__new__(cls)
-    op.__dict__.update(matrix=matrix, tolerance=DEFAULT_TOL)
+    op.__dict__.update(matrix=matrix, tolerance=DEFAULT_TOL, _factors=(q, np.ones(k)))
     return op
+
+
+def _factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and the diagonal s of S with matrix = F S F* to rounding.
+
+    matrix = A + iB with A and B Hermitian; B is zero unless the matrix is
+    Hermitian only within its tolerance.  F holds the eigenvectors of A and
+    of B scaled by sqrt|lambda|, and s the signs of A's eigenvalues and i
+    times those of B's, for the eigenvalues above numpy's ``matrix_rank``
+    cutoff d * eps * max|lambda|: one eigh, and a second only for a skew
+    part that reaches the cutoff.  A pure state or a rank-one event gives
+    one column, the zero matrix none.  The small negative eigenvalues a
+    state admits within its tolerance are kept with sign -1, not clipped.
+    """
+    dim = len(matrix)
+    lam, vec = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    cutoff = dim * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
+    skew = (matrix - matrix.conj().T) / 2j
+    # no eigenvalue of the skew part exceeds its Frobenius norm, so below
+    # the cutoff it would keep no column, and it takes no eigh
+    if np.linalg.norm(skew) > cutoff:
+        lam_b, vec_b = np.linalg.eigh(skew)
+        lam, vec = np.concatenate([lam, 1j * lam_b]), np.hstack([vec, vec_b])
+        cutoff = dim * np.finfo(float).eps * np.abs(lam).max()
+    mags = np.abs(lam)
+    keep = mags > cutoff
+    return vec[:, keep] * np.sqrt(mags[keep]), lam[keep] / mags[keep]
 
 
 def _evolve(u: UnitaryGate, rho: np.ndarray) -> np.ndarray:

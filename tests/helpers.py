@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's own code paths: matrix
 products are spelled out with plain numpy (or plain Python for the smallest
 cases) so expected values come from a second route.  The exceptions are
 ``quotient_oracle`` and ``compose_word_loop``, which apply the package's
-kernel one word and one letter at a time: they are the per-word routes that
+kernel one word and one letter at a time (``quotient_oracle`` reads truth
+values through ``logic.truth_value``): they are the per-word routes that
 the prefix engine behind ``quotient`` and ``compose_word`` must reproduce.
 The circuit walks evaluate each gate through the public ``eval_gate``.
 So are the scheme-layer references at the end, which go through the
@@ -23,7 +24,7 @@ from qclogic import logic
 from qclogic.classical import And, Not, Or, Var, eval_gate
 from qclogic.errors import ArityMismatch, ValidationFailure
 from qclogic.gates import _apply, compose_word, fourier_matrix
-from qclogic.logic import EquivalenceReport, QuotientPartition
+from qclogic.logic import QuotientPartition
 from qclogic.omlattice import (
     GeneralizedReport,
     LatticeAutomorphism,
@@ -108,87 +109,63 @@ def hull_distance(points) -> float:
     return best
 
 
-# The six context deciders, each written out on its own with its own
-# evolution and comparison; logic decides all six through one comparison of
-# invariants and must agree with these bit for bit.
-def _top_eigenvector(herm: np.ndarray, *, most_negative: bool = False) -> np.ndarray:
-    """Eigenvector of largest |eigenvalue| (ties toward the positive end),
-    or of the most negative eigenvalue."""
-    evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
-    if most_negative:
-        idx = 0
+# The six context deciders' rule written out densely: U rho U* and U* P U
+# formed in full, every eigenvalue of their difference taken, and both
+# directions of an equivalence's gap; logic decides from the context's
+# factor, on the span of Y + Z and Y - Z, and one direction only.
+def decider_oracle(relation: str, u, v, *context) -> tuple[float, float]:
+    """The gap a context relation compares with ``tol``: the largest amount
+    by which U's truth value exceeds V's over the contexts in its scope, or
+    for an equivalence the largest amount by which either exceeds the
+    other; and the gap of U over V alone, which a witness must reach."""
+    if relation in ("equiv_rho_P", "leq_rho_P"):
+        rho, p = context
+        truth = lambda g: min(1.0, max(0.0, truth_value_oracle(g.matrix, rho.matrix, p.matrix)))
+        over = truth(u) - truth(v)
+        return (abs(over) if relation.startswith("equiv") else over), over
+    (op,) = context
+    if isinstance(op, DensityOperator):
+        h = (op.matrix + op.matrix.conj().T) / 2
+        diff = u.matrix @ h @ u.matrix.conj().T - v.matrix @ h @ v.matrix.conj().T
+        lam = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
+        over, under = lam[lam > 0].sum(), -lam[lam < 0].sum()
     else:
-        idx = len(evals) - 1 if abs(evals[-1]) >= abs(evals[0]) else 0
-    v = evecs[:, idx]
-    return v / np.linalg.norm(v)
-
-
-def _rank_one(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
-def decider_oracle(relation: str, u, v, *context, tol: float) -> EquivalenceReport:
-    """The report of ``logic.<relation>(u, v, *context, tol)``, for context
-    dimensions that agree and a valid tolerance."""
-    evolve = lambda g, rho: g.matrix @ rho.matrix @ g.matrix.conj().T
-    pull_back = lambda g, p: g.matrix.conj().T @ p.matrix @ g.matrix
-    truth = lambda g, rho, p: min(1.0, max(0.0, complex(
-        np.trace(evolve(g, rho) @ p.matrix)).real))
-    if relation == "equiv_rho_P":
-        rho, p = context
-        lhs, rhs = truth(u, rho, p), truth(v, rho, p)
-        return EquivalenceReport(relation, abs(lhs - rhs) <= tol, tol, lhs=lhs, rhs=rhs)
-    if relation == "leq_rho_P":
-        rho, p = context
-        lhs, rhs = truth(u, rho, p), truth(v, rho, p)
-        return EquivalenceReport(relation, lhs <= rhs + tol, tol, lhs=lhs, rhs=rhs)
-    if relation == "equiv_rho":
-        (rho,) = context
-        a, b = evolve(u, rho), evolve(v, rho)
-        if float(np.max(np.abs(a - b))) <= tol:
-            return EquivalenceReport(relation, True, tol)
-        witness = Projector(_rank_one(_top_eigenvector(a - b)))
-        return EquivalenceReport(relation, False, tol, witness_event=witness)
-    if relation == "equiv_P":
-        (p,) = context
-        a, b = pull_back(u, p), pull_back(v, p)
-        if float(np.max(np.abs(a - b))) <= tol:
-            return EquivalenceReport(relation, True, tol)
-        witness = DensityOperator(_rank_one(_top_eigenvector(a - b)))
-        return EquivalenceReport(relation, False, tol, witness_state=witness)
-    if relation == "leq_rho":
-        (rho,) = context
-        diff = evolve(v, rho) - evolve(u, rho)
-        if float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -tol:
-            return EquivalenceReport(relation, True, tol)
-        witness = Projector(_rank_one(_top_eigenvector(diff, most_negative=True)))
-        return EquivalenceReport(relation, False, tol, witness_event=witness)
-    if relation == "leq_P":
-        (p,) = context
-        diff = pull_back(v, p) - pull_back(u, p)
-        if float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -tol:
-            return EquivalenceReport(relation, True, tol)
-        witness = DensityOperator(_rank_one(_top_eigenvector(diff, most_negative=True)))
-        return EquivalenceReport(relation, False, tol, witness_state=witness)
-    raise ValueError(f"no context decider {relation!r}")
+        diff = (u.matrix.conj().T @ op.matrix @ u.matrix
+                - v.matrix.conj().T @ op.matrix @ v.matrix)
+        lam = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
+        over, under = max(lam[-1], 0.0), max(-lam[0], 0.0)
+    return (max(over, under) if relation.startswith("equiv") else over), over
 
 
 def quotient_oracle(words, relation: str, rho, p=None, tol: float = 1e-9):
     """``logic.quotient`` word by word, for valid arguments: each word
-    composed on its own, its invariant taken by ``logic._invariant``, keyed
-    by ``entry_key(..., 9)``, and compared against every representative; the
-    route that evolving words from their prefixes replaced."""
+    composed on its own; its invariant its ``logic.truth_value``, or
+    U h U* formed densely, h the Hermitian part of rho; keyed by
+    ``entry_key(..., 9)``; and compared with every representative, evolved
+    states by their trace distance with every eigenvalue taken (those more
+    than ``tol`` apart in some entry are that far apart in trace distance
+    too).  It is the route that evolving words from their prefixes, and
+    bounding the trace distance by the entries, replaced."""
     classes, keys, by_key = [], [], {}
     event = p if relation == "equiv_rho_P" else None
+    h = (rho.matrix + rho.matrix.conj().T) / 2
     reps = np.empty((0,) + (rho.matrix.shape if event is None else ()), dtype=complex)
     for w in words:
-        data = logic._invariant(compose_word(w), rho, event)
-        key = entry_key(data, 9) if event is None else (round(data, 9) + 0.0,)
-        dist = np.abs(reps - data).max(axis=tuple(range(1, reps.ndim)))
+        u = compose_word(w)
+        if event is None:
+            data = u.matrix @ h @ u.matrix.conj().T
+            key = entry_key(data, 9)
+            diff = reps - data
+            near = np.abs(diff).max(axis=(1, 2), initial=0.0) <= tol
+            near[near] = np.abs(np.linalg.eigvalsh(diff[near])).sum(axis=1) <= 2 * tol
+        else:
+            data = logic.truth_value(u, rho, event)
+            key = (round(data, 9) + 0.0,)
+            near = np.abs(reps - data) <= tol
         idx = by_key.get(key)
-        if idx is None or dist[idx] > tol:
-            near = np.flatnonzero(dist <= tol)
-            idx = int(near[0]) if near.size else None
+        if idx is None or not near[idx]:
+            hits = np.flatnonzero(near)
+            idx = int(hits[0]) if hits.size else None
         if idx is None:
             classes.append([w])
             reps = np.concatenate([reps, [data]])

@@ -93,7 +93,7 @@ def test_rank_one_equals_the_dense_checked_operator(cls, dim):
     for _ in range(5):
         v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
         v /= np.linalg.norm(v)
-        fast, dense = qcore._rank_one(cls, v), cls(np.outer(v, v.conj()))
+        fast, dense = qcore._onto(cls, v), cls(np.outer(v, v.conj()))
         assert type(fast) is cls and fast.tolerance == dense.tolerance
         assert fast.matrix.tobytes() == dense.matrix.tobytes()
         assert fast.matrix.shape == (dim, dim) and not fast.matrix.flags.writeable
@@ -103,13 +103,13 @@ def test_rank_one_equals_the_dense_checked_operator(cls, dim):
 @pytest.mark.parametrize("cls", [qcore.DensityOperator, qcore.Projector])
 def test_rank_one_refuses_a_nan_entry_or_a_norm_off_by_more_than_the_tolerance(cls):
     v = np.array([0.6, 0.8j])
-    qcore._rank_one(cls, v * (1 + 0.4 * qcore.DEFAULT_TOL))
+    qcore._onto(cls, v * (1 + 0.4 * qcore.DEFAULT_TOL))
     with pytest.raises(ValidationFailure) as exc:
-        qcore._rank_one(cls, np.array([np.nan, 1.0]))
+        qcore._onto(cls, np.array([np.nan, 1.0]))
     assert exc.value.invariant == "finite"
     for scale in (1 + qcore.DEFAULT_TOL, 1 - qcore.DEFAULT_TOL, 0.0):
         with pytest.raises(ValidationFailure) as exc:
-            qcore._rank_one(cls, v * scale)
+            qcore._onto(cls, v * scale)
         assert exc.value.invariant == "unit-norm"
 
 
