@@ -111,6 +111,9 @@ def _operand(args, attr: str, dim: int):
                                 f"this relation needs {what} (--{attr})")
     if token.startswith("basis:"):
         return qcore._onto(cls, np.eye(1, dim, _basis_index(token, dim), dtype=complex)[0])
+    if token == "uniform" and cls is qcore.DensityOperator:
+        # I / d, checked as its factor I / sqrt(d)
+        return qcore._onto(cls, np.eye(dim) * np.sqrt(1 / dim), _operator_matrix(token, dim))
     return cls(_operator_matrix(token, dim))
 
 

@@ -22,9 +22,11 @@ V's is the same number: ``leq_rho`` and ``leq_P`` decide exactly as
 every ``tol``.
 
 Every context relation reads its context through a factor, rho = F S F* or
-P = G S G* (``qcore._factor``, kept on the operator), and works with
-Y = U F and Z = V F at a state, Y = U* G and Z = V* G at an event; no
-U rho U* is formed.  ``quotient`` groups words under the same rule.
+P = G S G*, kept on the operator: a pivoted Cholesky factor for a context
+of low rank (``qcore._pivoted_cholesky``), so a dense pure state or
+rank-one event takes no eigensolve, else one eigh (``qcore._factor``).  It
+works with Y = U F and Z = V F at a state, Y = U* G and Z = V* G at an
+event; no U rho U* is formed.  ``quotient`` groups words under the same rule.
 Failed quantified relations come with a witness on which U's truth value
 exceeds V's by the gap that decided the verdict.
 """

@@ -44,9 +44,11 @@ def check_dim(dim: int, *, max_dim: int = MAX_DIM) -> int:
 
 
 def check_tol(tol: float) -> None:
-    """Refuse a tolerance that is negative or NaN."""
+    """Refuse a tolerance that is negative, NaN or infinite."""
     if not tol >= 0:
         raise ValidationFailure("tolerance", tol, "must be >= 0")
+    if tol == np.inf:
+        raise ValidationFailure("tolerance", tol, "must be finite")
 
 
 def as_square_matrix(data, *, max_dim: int = MAX_DIM) -> np.ndarray:
@@ -109,20 +111,37 @@ class _Operator:
         return self.matrix.shape[0]
 
     @cached_property
+    def _pivoted(self):
+        """:func:`_pivoted_cholesky` of a state's or an event's matrix,
+        tried once: by a state's check, or on first use of the factor."""
+        return _pivoted_cholesky(self.matrix)
+
+    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_factor` of a state's or an event's matrix, computed on
-        first use and kept; it takes no part in ``==`` or the hash."""
-        return _factor(self.matrix)
+        """F and the signs s with matrix = F diag(s) F*: the pivoted
+        Cholesky factor where it is certified, else :func:`_factor`'s;
+        computed on first use and kept.  Neither cached value takes part in
+        ``==`` or the hash."""
+        return _factor(self.matrix) if self._pivoted is None else self._pivoted[0]
 
 
 class DensityOperator(_Operator):
-    """A self-adjoint, positive semidefinite, trace-one matrix."""
+    """A self-adjoint, positive semidefinite, trace-one matrix.
+
+    Positivity is decided from the pivoted Cholesky attempt that also gives
+    the factor: a residual R certified with ||R||_F within the tolerance
+    bounds every eigenvalue below by -||R||_F (Weyl), so a low-rank state
+    takes no eigensolve.  Otherwise one eigvalsh decides, and a failing
+    state raises ``ValidationFailure('positive', -lambda_min)``.
+    """
 
     def _check(self) -> None:
         self._check_hermitian()
         tgap = abs(np.trace(self.matrix) - 1.0)
         if tgap > self.tolerance:
             raise ValidationFailure("trace-one", tgap)
+        if self._pivoted is not None and self._pivoted[1] <= self.tolerance:
+            return
         evs = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
         if evs[0] < -self.tolerance:
             raise ValidationFailure("positive", -evs[0])
@@ -173,20 +192,28 @@ def validate(matrix, kind: str, tolerance: float = DEFAULT_TOL):
     return cls(matrix, tolerance)
 
 
-def _onto(cls: type, q: np.ndarray):
-    """The projector onto the orthonormal columns of q, a vector or a d x k
-    matrix, as a ``cls`` at the default tolerance: a Projector, or for one
-    column a DensityOperator.  It is checked as q alone: finite entries and
-    ||q*q - I||_F within the tolerance (for one column, |<q|q> - 1|) imply
-    every invariant the dense check tests.  q is kept as the factor."""
+def _onto(cls: type, q: np.ndarray, matrix: np.ndarray | None = None):
+    """The operator q q* for a vector or a d x k matrix q, as a ``cls`` at
+    the default tolerance: a Projector onto q's orthonormal columns, or a
+    DensityOperator.  It is checked as q alone: finite entries and, for a
+    projector, ||q*q - I||_F within the tolerance, for a state of more than
+    one column |tr(q*q) - 1| (for one column both are |<q|q> - 1|), imply
+    every invariant the dense check tests.  q is kept as the factor, and
+    ``matrix``, q q* as the caller formed it, as the matrix if given."""
     q = np.array(q, dtype=complex).reshape(len(q), -1)
     if not np.all(np.isfinite(q)):
         raise ValidationFailure("finite", float("inf"))
     k = q.shape[1]
-    gap = float(np.linalg.norm(q.conj().T @ q - np.eye(k)))
-    if gap > DEFAULT_TOL:
-        raise ValidationFailure("unit-norm" if k == 1 else "orthonormal", gap)
-    matrix = np.outer(q[:, 0], q[:, 0].conj()) if k == 1 else q @ q.conj().T
+    if cls is DensityOperator and k > 1:
+        gap = abs(np.vdot(q, q).real - 1.0)
+        if gap > DEFAULT_TOL:
+            raise ValidationFailure("trace-one", gap)
+    else:
+        gap = float(np.linalg.norm(q.conj().T @ q - np.eye(k)))
+        if gap > DEFAULT_TOL:
+            raise ValidationFailure("unit-norm" if k == 1 else "orthonormal", gap)
+    if matrix is None:
+        matrix = np.outer(q[:, 0], q[:, 0].conj()) if k == 1 else q @ q.conj().T
     matrix.setflags(write=False)
     q.setflags(write=False)
     op = object.__new__(cls)
@@ -194,8 +221,71 @@ def _onto(cls: type, q: np.ndarray):
     return op
 
 
+# pivoted Cholesky takes at most this many columns; a state or event of
+# higher rank is factored by eigh
+_PIVOTS = 8
+
+
+def _pivoted_cholesky(matrix: np.ndarray):
+    """((F, s), ||R||_F) with R = A - F F* for the Hermitian part A of
+    matrix, or None where the eigh route of :func:`_factor` is taken.
+
+    Each step takes the column j of the residual R (at first A) with the
+    largest diagonal entry, appends R[:, j] / sqrt(R_jj) to F and subtracts
+    its outer product (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 10.3): O(d^2) a column.  It stops when
+    ||R||_F is within d * eps * m, m = max(the first pivot, the largest
+    |F_j|^2 less ||R||_F), a lower bound on max|lambda| of A; by Weyl every
+    eigenvalue of A left out is then within numpy's ``matrix_rank`` cutoff,
+    which drops it too, and the signs s are all 1.  None is returned
+
+    - when tr(A)^2 > (_PIVOTS + 1/2) ||matrix||_F^2, so that
+      tr(A)^2 / ||A||_F^2, a lower bound on the rank of a Hermitian A,
+      passes _PIVOTS: a full-rank state takes no attempt;
+    - when the same bound on the residual after k columns passes
+      _PIVOTS - k, so a state of a few large eigenvalues and many small
+      ones stops early, and at the latest after _PIVOTS columns;
+    - when the residual is indefinite: its largest diagonal entry is
+      within the cutoff but ||R||_F is not (the small negative eigenvalues
+      a state may carry within its tolerance);
+    - when the skew part of matrix passes the cutoff.
+    """
+    # for a Hermitian A of rank r, tr(A)^2 <= r ||A||_F^2 (Cauchy-Schwarz),
+    # and ||A||_F <= ||matrix||_F; a ratio past an integer by less than 1/2
+    # is rounding
+    if np.trace(matrix).real ** 2 > (_PIVOTS + 0.5) * np.vdot(matrix, matrix).real:
+        return None
+    dim = len(matrix)
+    skew = (matrix - matrix.conj().T) / 2
+    a = matrix - skew
+    eps = dim * np.finfo(float).eps
+    first = top = a.diagonal().real.max()
+    cols = []
+    while True:
+        norm = float(np.linalg.norm(a))
+        cutoff = eps * max(first, top - norm)
+        if norm <= cutoff:
+            break
+        diag = a.diagonal().real
+        j = int(np.argmax(diag))
+        # the residual's rank is at least tr(R)^2 / ||R||_F^2
+        room = _PIVOTS - len(cols)
+        if not diag[j] > cutoff or room == 0 or diag.sum() ** 2 > (room + 0.5) * norm ** 2:
+            return None
+        col = a[:, j] / np.sqrt(diag[j])
+        a -= np.outer(col, col.conj())
+        cols.append(col)
+        top = max(top, np.vdot(col, col).real)
+    if np.linalg.norm(skew) > cutoff:
+        return None
+    factor = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=complex)
+    return (factor, np.ones(len(cols))), norm
+
+
 def _factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and the diagonal s of S with matrix = F S F* to rounding.
+    """F and the diagonal s of S with matrix = F S F* to rounding, by eigh:
+    the route of a state or event that :func:`_pivoted_cholesky` does not
+    factor.
 
     matrix = A + iB with A and B Hermitian; B is zero unless the matrix is
     Hermitian only within its tolerance.  F holds the eigenvectors of A and

@@ -69,3 +69,38 @@ def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved():
     assert bench_pairs.against_bound(PARENT, above, "lower", 0.2)["unresolved"] is True
     below = [v - 7.0 for v in PARENT]                         # at most 7, parent 8 and up
     assert bench_pairs.against_bound(PARENT, below, "lower", 0.2)["unresolved"] is False
+
+
+_BENCH = {"workloads": [{"name": "circuits"}, {"name": "quotient"}],
+          "end_to_end": [{"name": "jobs_per_s"}, {"name": "job_s.p50"}]}
+
+
+def _row(parent, change, better):
+    return {"better": better, **bench_pairs.compare(parent, change, better)}
+
+
+def test_a_claim_is_met_by_nine_wins_and_a_median_gap_past_the_parents_spread():
+    # CHANGE wins 7 of 10 and its median gap 0.5 is inside the IQR 2.5
+    assert bench_pairs.claim("circuits", "jobs_per_s", _row(PARENT, CHANGE, "higher"))[
+        "met"] is False
+    # every run 3.0 better: 10 wins, gap 3.0 past 2.5
+    faster = [v + 3.0 for v in PARENT]
+    block = bench_pairs.claim("circuits", "jobs_per_s", _row(PARENT, faster, "higher"))
+    assert block["met"] is True and block["workload"] == "circuits"
+    assert block["metric"] == "jobs_per_s" and "9 of 10" in block["target"]
+    # the same runs read as a time are a loss, not a gain
+    assert bench_pairs.claim("circuits", "job_s.p50", _row(PARENT, faster, "lower"))[
+        "met"] is False
+    # eight wins are too few, however far the medians lie apart
+    eight = [v + 5.0 for v in PARENT[:8]] + [v - 1.0 for v in PARENT[8:]]
+    row = _row(PARENT, eight, "higher")
+    assert row["change_wins"] == 8 and row["median_gap_exceeds_parent_iqr"]
+    assert bench_pairs.claim("circuits", "jobs_per_s", row)["met"] is False
+
+
+@pytest.mark.parametrize("spec", ["circuit/jobs_per_s", "circuits/jobs", "circuits",
+                                  "jobs_per_s/circuits", ""])
+def test_a_claim_on_an_unknown_workload_or_metric_is_refused(spec):
+    assert bench_pairs.parse_claim("quotient/job_s.p50", _BENCH) == ("quotient", "job_s.p50")
+    with pytest.raises(ValueError):
+        bench_pairs.parse_claim(spec, _BENCH)

@@ -72,6 +72,26 @@ def test_a_basis_context_is_checked_as_its_vector(capsys):
     assert eigvalsh.call_count == 0
 
 
+def test_the_uniform_state_is_checked_and_factored_as_i_over_sqrt_d(capsys):
+    # uniform is I / d, built from its factor I / sqrt(d): no eigvalsh checks
+    # it and no eigh factors it, so leq_rho's one eigh is of the difference
+    # U rho U* - V rho V*, which is 0: no gate moves I / d
+    callers = []
+    eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eigh(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+            mock.patch.object(np.linalg, "eigh", spy):
+        code, payload = run_json(capsys, "check-equiv", "width=6; H[0]; CNOT[0,1]",
+                                 "width=6; H[0]; CNOT[0,1]; T[5]; H[5]",
+                                 "--relation", "leq_rho", "--state", "uniform")
+    assert code == 0 and payload["holds"] is True
+    assert eigvalsh.call_count == 0 and callers == ["_positive_part"]
+
+
 def test_check_equiv_missing_context_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "check-equiv", "H", "H",
                              "--relation", "equiv_rho")
@@ -128,7 +148,7 @@ def test_quotient_refuses_a_wide_register_before_enumerating(capsys):
     assert err == "error: dimension 2**20000 exceeds cap 1024\n"
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ("check-equiv", "H[0]", "H[0]"),
     ("check-equiv", "H[0]", "H[0]", "--relation", "equiv_rho", "--state", "basis:0"),

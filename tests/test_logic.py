@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import itertools
 import math
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -233,16 +234,16 @@ def _counting(*names):
 
 
 def test_a_witness_is_checked_as_its_vector():
-    # a densely built event costs one eigh, for its factor, on first use;
-    # after that the rank-one deciders are in closed form, and the witness
-    # is built from its unit vector: no eigh, eigvalsh or eig at all
+    # a densely built rank-one event is factored on first use by one step
+    # of pivoted Cholesky; the rank-one deciders are in closed form, and the
+    # witness is built from its unit vector: no eigh, eigvalsh or eig at all
     gen = helpers.rng(8)
     u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, 16)) for _ in "uv")
     psi = helpers.random_unitary(gen, 16)[:, 0]
     p = qcore.Projector(np.outer(psi, psi.conj()))
     with _counting("eigh", "eigvalsh", "eig") as calls:
         first = equiv_P(u, v, p)
-    assert not first.holds and calls() == (1, 0, 0)
+    assert not first.holds and calls() == (0, 0, 0)
     with _counting("eigh", "eigvalsh", "eig") as calls:
         rep = leq_P(u, v, p)
         built = leq_P(u, v, qcore._onto(qcore.Projector, psi))
@@ -272,7 +273,7 @@ def test_rank_one_context_deciders_solve_no_eigenproblem_and_form_no_square_prod
     u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, dim)) for _ in "uv")
     rho = qcore.DensityOperator(helpers.random_pure(gen, dim))
     p = qcore.Projector(helpers.random_pure(gen, dim))
-    rho._factors, p._factors          # the one eigh each, on first use
+    rho._factors, p._factors          # one pivoted Cholesky step each, on first use
     for gate in (u, v):
         object.__setattr__(gate, "matrix", gate.matrix.view(_Products))
     _Products.seen = []
@@ -283,6 +284,39 @@ def test_rank_one_context_deciders_solve_no_eigenproblem_and_form_no_square_prod
     assert calls() == (0, 0, 0)
     assert _Products.seen and all(shape[-1][-1] == 1 for shape in _Products.seen)
     assert sum(not r.holds for r in reports) >= 8
+
+
+def test_a_job_of_dense_rank_one_contexts_solves_no_eigenproblem_but_equiv_totals(monkeypatch):
+    # the shape of a benchmark circuits job: a dense pure state and a dense
+    # rank-one event at d = 128 are checked and factored by pivoted
+    # Cholesky, so across every decider in both orders and hierarchy_check,
+    # on a failing pair and on a holding one, no eigvalsh runs and every
+    # eigh or eig is _unitary_eig's, for a failing equiv_total
+    gen = helpers.rng(29)
+    dim = 128
+    u, v = (qcore.UnitaryGate(helpers.random_unitary(gen, dim)) for _ in "uv")
+    near = qcore.UnitaryGate(np.exp(0.3j) * u.matrix)
+    rho_matrix, p_matrix = helpers.random_pure(gen, dim), helpers.random_pure(gen, dim)
+    callers = []
+    for name in ("eigh", "eig"):
+        def spy(*args, solve=getattr(np.linalg, name), **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    with _counting("eigvalsh") as calls:
+        rho, p = qcore.DensityOperator(rho_matrix), qcore.Projector(p_matrix)
+        verdicts = []
+        for a, b in ((u, v), (u, near)):
+            for rel in logic.RELATIONS:
+                context = [rho if what == "state" else p for what in logic.CONTEXT[rel]]
+                verdicts += [getattr(logic, rel)(x, y, *context).holds
+                             for x, y in ((a, b), (b, a))]
+            hierarchy_check(a, b, rho, p)
+    assert calls() == (0,)
+    assert callers and set(callers) == {"_unitary_eig"}
+    # of the failing pair's 14 verdicts only one holds: leq_rho_P in one order
+    assert verdicts[:14].count(False) == 13 and verdicts[14:] == [True] * 14
+    assert rho._factors[0].shape == p._factors[0].shape == (dim, 1)
 
 
 def test_logic_builds_no_state_or_event_from_a_matrix(monkeypatch):

@@ -113,6 +113,123 @@ def test_rank_one_refuses_a_nan_entry_or_a_norm_off_by_more_than_the_tolerance(c
         assert exc.value.invariant == "unit-norm"
 
 
+def test_the_uniform_state_is_checked_as_its_factor():
+    # I / d from its factor I / sqrt(d): the same operator as the dense
+    # check's, refused as a state when ||F||_F^2 misses 1 by the tolerance
+    for dim in (1, 2, 8):
+        f = np.eye(dim) * np.sqrt(1 / dim)
+        fast = qcore._onto(qcore.DensityOperator, f, np.eye(dim, dtype=complex) / dim)
+        dense = qcore.DensityOperator(np.eye(dim) / dim)
+        assert fast == dense and hash(fast) == hash(dense)
+        assert fast._factors[0].tobytes() == f.astype(complex).tobytes()
+    with pytest.raises(ValidationFailure) as exc:
+        qcore._onto(qcore.DensityOperator, np.eye(4) * np.sqrt(0.25 * (1 + 2 * qcore.DEFAULT_TOL)))
+    assert exc.value.invariant == "trace-one"
+
+
+def _context(dim: int, rank: int, kind: str, seed: int, state: bool) -> np.ndarray:
+    """Q diag(lambda) Q* of the given rank: a state (positive eigenvalues
+    summing to 1) or an event (eigenvalues 1), and for kind "negative" one
+    more eigenvalue in [-tol, 0), for kind "skew" plus i B, B Hermitian with
+    entries of about tol / 10, far above the rank cutoff."""
+    gen = helpers.rng(seed)
+    q = helpers.random_unitary(gen, dim)
+    lam = np.zeros(dim)
+    lam[:rank] = gen.uniform(0.05, 1.0, rank) if state else 1.0
+    if kind == "negative" and rank < dim:
+        lam[rank] = -qcore.DEFAULT_TOL * gen.uniform(0.01, 1.0)
+    if state and rank:
+        lam[:rank] *= (1 - lam[rank:].sum()) / lam[:rank].sum()
+    m = (q * lam) @ q.conj().T
+    m = (m + m.conj().T) / 2
+    if kind == "skew":
+        b = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        m = m + 1j * (qcore.DEFAULT_TOL / 10) * (b + b.conj().T) / np.abs(b + b.conj().T).max()
+    return m
+
+
+_CONTEXTS = st.integers(1, 64).flatmap(lambda d: st.tuples(
+    st.just(d), st.sampled_from(sorted({0, 1, min(2, d), min(3, d), d // 2, d})),
+    st.sampled_from(["psd", "skew", "negative"]), st.integers(0, 2 ** 31), st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CONTEXTS)
+def test_the_pivoted_factor_rebuilds_the_matrix_with_the_eigh_routes_columns(case):
+    dim, rank, kind, seed, state = case
+    m = _context(dim, rank, kind, seed, state)
+    pivoted = qcore._pivoted_cholesky(m)
+    factor, signs = qcore._factor(m) if pivoted is None else pivoted[0]
+    eps = np.finfo(float).eps
+    rebuilt = (factor * signs) @ factor.conj().T
+    assert np.linalg.norm(rebuilt - m) <= 4 * dim * eps * np.linalg.norm(m)
+    if pivoted is None:
+        return
+    assert kind != "skew" and signs.tolist() == [1.0] * len(signs)
+    assert np.linalg.norm(m - factor @ factor.conj().T) <= pivoted[1] + 4 * dim * eps
+    # the eigh route keeps the eigenvalues above the cutoff; the counts may
+    # differ only by eigenvalues within a factor sqrt(d) of it
+    lam = np.linalg.eigvalsh(m)
+    cutoff = dim * eps * np.abs(lam).max()          # numpy's matrix_rank cutoff
+    near = np.any((np.abs(lam) > cutoff / np.sqrt(dim)) & (np.abs(lam) <= cutoff * np.sqrt(dim)))
+    assert near or len(signs) == len(qcore._factor(m)[1])
+
+
+CONTEXT_RELATIONS = [r for r in logic.RELATIONS if r != "equiv_total"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CONTEXTS)
+def test_the_seven_relations_at_pivoted_contexts_agree_with_the_oracle(case):
+    dim, rank, kind, seed, _ = case
+    gen = helpers.rng(seed + 1)
+    rho = qcore.DensityOperator(_context(dim, max(rank, 1), kind, seed, True))
+    p = qcore.Projector(_context(dim, rank, kind, seed + 2, False))
+    u = qcore.UnitaryGate(helpers.random_unitary(gen, dim))
+    pairs = ((u, qcore.UnitaryGate(helpers.random_unitary(gen, dim))),
+             (u, qcore.UnitaryGate(np.exp(0.7j) * u.matrix)))
+    for a, b in pairs:
+        for relation in CONTEXT_RELATIONS:
+            context = [rho if what == "state" else p for what in logic.CONTEXT[relation]]
+            for x, y in ((a, b), (b, a)):
+                gap, _ = helpers.decider_oracle(relation, x, y, *context)
+                if abs(gap - qcore.DEFAULT_TOL) > 1e-12:
+                    assert getattr(logic, relation)(x, y, *context).holds == (
+                        gap <= qcore.DEFAULT_TOL), (relation, gap)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16, 128, 1024])
+def test_a_dense_pure_state_gives_one_column_from_one_pivot(dim):
+    gen = helpers.rng(dim)
+    for _ in range(5 if dim < 1024 else 1):
+        rho = qcore.DensityOperator(helpers.random_pure(gen, dim))
+        assert rho._pivoted is not None and rho._factors[0].shape == (dim, 1)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16, 64])
+def test_a_state_negative_past_its_tolerance_raises_the_eigvalsh_value(dim):
+    # the check's refusal is the one eigvalsh gives, bit for bit; a negative
+    # eigenvalue within the tolerance passes
+    tol = qcore.DEFAULT_TOL
+    gen = helpers.rng(dim)
+    q = helpers.random_unitary(gen, dim)
+    for rank in sorted({1, max(1, dim // 2), dim - 1}):
+        for neg, fails in ((-2 * tol, True), (-tol / 2, False)):
+            lam = np.zeros(dim)
+            lam[:rank] = gen.uniform(0.1, 1.0, rank)
+            lam[rank] = neg
+            lam[:rank] *= (1 - neg) / lam[:rank].sum()
+            m = (q * lam) @ q.conj().T
+            if not fails:
+                qcore.DensityOperator(m)
+                continue
+            with pytest.raises(ValidationFailure) as exc:
+                qcore.DensityOperator(m)
+            want = -np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+            assert exc.value.invariant == "positive"
+            assert np.float64(exc.value.magnitude).tobytes() == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(gates._GATES))
 def test_dagger_of_every_gate_block(name):
     # the conjugate transpose is not contiguous in its last axis

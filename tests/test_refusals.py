@@ -142,6 +142,9 @@ REFUSALS = [
     ("lattice-verify, a Boolean lattice of no integer size",
      lambda: _cli_verb("lattice-verify", "--builtin", "boolean:x"),
      ParseError, "bad integer in 'boolean:x'"),
+    ("check-equiv, an infinite tolerance, which JSON cannot print",
+     lambda: _cli_verb("check-equiv", "H", "H", "--tol", "inf"),
+     ValidationFailure, "invariant 'tolerance' violated by inf (must be finite)"),
     ("truth-table, a basis state of no integer index",
      lambda: _cli_verb("truth-table", "H", "--state", "basis:x"),
      ParseError, "bad integer in 'basis:x'"),

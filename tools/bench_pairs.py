@@ -2,7 +2,7 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --pr N [--parent REV] [--seed 31001]
-        [--change TEXT]
+        [--change TEXT] [--claim WORKLOAD/METRIC]
 
 Run it from anywhere inside a checkout.  The parent (``HEAD`` unless
 ``--parent`` names another revision) and the change, the working tree as
@@ -25,7 +25,12 @@ medians exceeds the parent's interquartile range.  Each metric also records
 ``past_bound``, the change's median worse than the parent's by more than the
 metric's bound, and ``unresolved``, the parent's interquartile range wider
 than the bound while some parent run is at least as good as some change
-run.  The metrics past their bound are printed to stderr.
+run.  The metrics past their bound are printed to stderr.  With
+``--claim WORKLOAD/METRIC`` the report's ``claim`` block names that metric
+and ``met`` says whether the change won at least nine tenths of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range; a workload or metric ``BENCHMARK.json`` does not name
+is refused before anything runs.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import statistics
@@ -90,6 +96,33 @@ def against_bound(parent: list[float], change: list[float], better: str,
         "past_bound": sign * (p["median"] - c["median"]) > bound * p["median"],
         "unresolved": p["q3"] - p["q1"] > bound * p["median"] and not beats_all,
     }
+
+
+CLAIM_TARGET = ("the change wins at least 9 of 10 pairs, and its median is better than "
+                "the parent's by more than the parent's interquartile range")
+
+
+def parse_claim(spec: str, bench: dict) -> tuple[str, str]:
+    """WORKLOAD/METRIC as a workload and an end-to-end metric that
+    ``bench``, the parsed ``BENCHMARK.json``, names; else ValueError."""
+    workload, _, metric = spec.partition("/")
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(f"--claim {spec!r}: expected WORKLOAD/METRIC with a workload in "
+                         f"{workloads} and a metric in {metrics}")
+    return workload, metric
+
+
+def claim(workload: str, metric: str, row: dict) -> dict:
+    """The claim block for one metric's row of :func:`compare`: ``met`` when
+    the change won at least nine tenths of the pairs and its median is
+    better than the parent's, by more than the parent's interquartile range."""
+    sign = 1 if row["better"] == "higher" else -1
+    better = sign * (row["change"]["median"] - row["parent"]["median"]) > 0
+    met = (row["change_wins"] >= math.ceil(0.9 * row["pairs"])
+           and row["median_gap_exceeds_parent_iqr"] and better)
+    return {"workload": workload, "metric": metric, "target": CLAIM_TARGET, "met": met}
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -162,7 +195,13 @@ def main() -> int:
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
     parser.add_argument("--seed", type=int, default=31001, help="seed of pair 0")
     parser.add_argument("--change", default="", help="one line naming the change")
+    parser.add_argument("--claim", help="WORKLOAD/METRIC whose gain the change claims")
     args = parser.parse_args()
+    if args.claim is not None:
+        try:
+            claimed = parse_claim(args.claim, bench)
+        except ValueError as exc:
+            parser.error(str(exc))
     seeds = [args.seed + i for i in range(PAIRS)]
     parent = _git("rev-parse", args.parent)
     change = _worktree_tree()
@@ -188,6 +227,10 @@ def main() -> int:
             name = w["name"]
             report["workloads"][name] = _workload(name, bench["end_to_end"], roots,
                                                   seeds, bench["run_seconds"])
+    if args.claim is not None:
+        workload, metric = claimed
+        report["claim"] = claim(workload, metric,
+                                report["workloads"][workload]["metrics"][metric])
     for name, workload in report["workloads"].items():
         for metric, row in workload["metrics"].items():
             if row["past_bound"]:
