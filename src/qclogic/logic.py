@@ -22,8 +22,8 @@ V's is the same number: ``leq_rho`` and ``leq_P`` decide exactly as
 every ``tol``.
 
 Every context relation reads its context through a factor, rho = F S F* or
-P = G S G*, kept on the operator: a pivoted Cholesky factor for a context
-of low rank (``qcore._pivoted_cholesky``), so a dense pure state or
+P = G S G*, kept on the operator: one step of pivoted Cholesky for a
+context of rank one (``qcore._rank_one``), so a dense pure state or
 rank-one event takes no eigensolve, else one eigh (``qcore._factor``).  It
 works with Y = U F and Z = V F at a state, Y = U* G and Z = V* G at an
 event; no U rho U* is formed.  ``quotient`` groups words under the same rule.

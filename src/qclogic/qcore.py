@@ -101,8 +101,10 @@ class _Operator:
         # -0.0 + 0.0 is 0.0; the byte count of a square matrix fixes its shape
         return hash((type(self), self.tolerance, (self.matrix + 0.0).tobytes()))
 
-    def _check_hermitian(self) -> None:
-        gap = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+    def _check_hermitian(self, diff: np.ndarray) -> None:
+        """Refuse a matrix M whose difference diff = M - M* has an entry
+        past the tolerance."""
+        gap = float(np.max(np.abs(diff)))
         if gap > self.tolerance:
             raise ValidationFailure("hermitian", gap)
 
@@ -111,38 +113,36 @@ class _Operator:
         return self.matrix.shape[0]
 
     @cached_property
-    def _pivoted(self):
-        """:func:`_pivoted_cholesky` of a state's or an event's matrix,
-        tried once: by a state's check, or on first use of the factor."""
-        return _pivoted_cholesky(self.matrix)
-
-    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """F and the signs s with matrix = F diag(s) F*: the pivoted
-        Cholesky factor where it is certified, else :func:`_factor`'s;
-        computed on first use and kept.  Neither cached value takes part in
-        ``==`` or the hash."""
-        return _factor(self.matrix) if self._pivoted is None else self._pivoted[0]
+        """F and the signs s with matrix = F diag(s) F*, by :func:`_factor`'s
+        eigh route, computed on first use and kept; a state's check keeps
+        the :func:`_rank_one` factor it finds, and an event tries
+        :func:`_rank_one` first.  It takes no part in ``==`` or the hash."""
+        return _factor(*_parts(self.matrix))
 
 
 class DensityOperator(_Operator):
     """A self-adjoint, positive semidefinite, trace-one matrix.
 
-    Positivity is decided from the pivoted Cholesky attempt that also gives
-    the factor: a residual R certified with ||R||_F within the tolerance
-    bounds every eigenvalue below by -||R||_F (Weyl), so a low-rank state
-    takes no eigensolve.  Otherwise one eigvalsh decides, and a failing
-    state raises ``ValidationFailure('positive', -lambda_min)``.
+    Positivity is decided from the :func:`_rank_one` attempt that also
+    gives the factor: its residual R, with ||R||_F within the tolerance,
+    bounds every eigenvalue below by -||R||_F (Weyl), so a pure state takes
+    no eigensolve.  Otherwise one eigvalsh decides, and a failing state
+    raises ``ValidationFailure('positive', -lambda_min)``.
     """
 
     def _check(self) -> None:
-        self._check_hermitian()
+        herm, diff = _parts(self.matrix)
+        self._check_hermitian(diff)
         tgap = abs(np.trace(self.matrix) - 1.0)
         if tgap > self.tolerance:
             raise ValidationFailure("trace-one", tgap)
-        if self._pivoted is not None and self._pivoted[1] <= self.tolerance:
-            return
-        evs = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
+        found = _rank_one(herm, diff)
+        if found is not None:
+            self.__dict__["_factors"], resid = found
+            if resid <= self.tolerance:
+                return
+        evs = np.linalg.eigvalsh(herm)
         if evs[0] < -self.tolerance:
             raise ValidationFailure("positive", -evs[0])
 
@@ -151,10 +151,16 @@ class Projector(_Operator):
     """A self-adjoint idempotent matrix (an event)."""
 
     def _check(self) -> None:
-        self._check_hermitian()
+        self._check_hermitian(self.matrix - self.matrix.conj().T)
         igap = float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
         if igap > self.tolerance:
             raise ValidationFailure("idempotent", igap)
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        herm, diff = _parts(self.matrix)
+        found = _rank_one(herm, diff)
+        return _factor(herm, diff) if found is None else found[0]
 
     @property
     def rank(self) -> int:
@@ -221,71 +227,58 @@ def _onto(cls: type, q: np.ndarray, matrix: np.ndarray | None = None):
     return op
 
 
-# pivoted Cholesky takes at most this many columns; a state or event of
-# higher rank is factored by eigh
-_PIVOTS = 8
+def _parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M + M*) / 2 and M - M* for a square matrix M: its Hermitian part,
+    and the difference whose entries the Hermitian check bounds and whose
+    Frobenius norm is twice the skew part's."""
+    adjoint = matrix.conj().T
+    return (matrix + adjoint) / 2, matrix - adjoint
 
 
-def _pivoted_cholesky(matrix: np.ndarray):
-    """((F, s), ||R||_F) with R = A - F F* for the Hermitian part A of
-    matrix, or None where the eigh route of :func:`_factor` is taken.
+# tr(A)^2 / ||A||_F^2 of an A that _rank_one accepts is within about
+# 2 d^1.5 eps of 1 (1.5e-11 at d = 1024), and rounding moves the computed
+# ratio by at most about d^2 eps (2.3e-10): a ratio past this bound, far
+# above both, shows that the step would not accept A
+_RANK_ONE_RATIO = 1 + 1e-6
 
-    Each step takes the column j of the residual R (at first A) with the
-    largest diagonal entry, appends R[:, j] / sqrt(R_jj) to F and subtracts
-    its outer product (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 10.3): O(d^2) a column.  It stops when
-    ||R||_F is within d * eps * m, m = max(the first pivot, the largest
-    |F_j|^2 less ||R||_F), a lower bound on max|lambda| of A; by Weyl every
-    eigenvalue of A left out is then within numpy's ``matrix_rank`` cutoff,
-    which drops it too, and the signs s are all 1.  None is returned
 
-    - when tr(A)^2 > (_PIVOTS + 1/2) ||matrix||_F^2, so that
-      tr(A)^2 / ||A||_F^2, a lower bound on the rank of a Hermitian A,
-      passes _PIVOTS: a full-rank state takes no attempt;
-    - when the same bound on the residual after k columns passes
-      _PIVOTS - k, so a state of a few large eigenvalues and many small
-      ones stops early, and at the latest after _PIVOTS columns;
-    - when the residual is indefinite: its largest diagonal entry is
-      within the cutoff but ||R||_F is not (the small negative eigenvalues
-      a state may carry within its tolerance);
-    - when the skew part of matrix passes the cutoff.
+def _rank_one(herm: np.ndarray, diff: np.ndarray):
+    """((F, s), ||R||_F) with F one column and R = A - F F* for the
+    Hermitian part A = herm, or None where :func:`_factor`'s eigh route is
+    taken; diff is as :func:`_parts` gives it.
+
+    One step of pivoted Cholesky (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 10.3), O(d^2): F = A[:, j] /
+    sqrt(A_jj) for the largest diagonal entry A_jj.  F is accepted, with
+    the sign 1, when ||R||_F and the skew part's norm ||diff||_F / 2 are
+    both within d * eps * (||F||^2 - ||R||_F), a lower bound on max|lambda|
+    of A (Weyl).  Every eigenvalue of A left out then lies within numpy's
+    ``matrix_rank`` cutoff, which the eigh route drops too, and the skew
+    part keeps no column there either.  None is returned without the step
+    when A_jj is not positive, or when tr(A)^2 / ||A||_F^2 passes
+    _RANK_ONE_RATIO.  That ratio is at most the rank of A (Cauchy-Schwarz)
+    and at least 1 / (1 - lambda_2) for a state whose second eigenvalue is
+    lambda_2, so a state mixed past lambda_2 = 1e-6, the uniform one among
+    them, takes no step.  The zero matrix takes the eigh route.
     """
-    # for a Hermitian A of rank r, tr(A)^2 <= r ||A||_F^2 (Cauchy-Schwarz),
-    # and ||A||_F <= ||matrix||_F; a ratio past an integer by less than 1/2
-    # is rounding
-    if np.trace(matrix).real ** 2 > (_PIVOTS + 0.5) * np.vdot(matrix, matrix).real:
+    diag = herm.diagonal().real
+    if diag.sum() ** 2 > _RANK_ONE_RATIO * np.vdot(herm, herm).real:
         return None
-    dim = len(matrix)
-    skew = (matrix - matrix.conj().T) / 2
-    a = matrix - skew
-    eps = dim * np.finfo(float).eps
-    first = top = a.diagonal().real.max()
-    cols = []
-    while True:
-        norm = float(np.linalg.norm(a))
-        cutoff = eps * max(first, top - norm)
-        if norm <= cutoff:
-            break
-        diag = a.diagonal().real
-        j = int(np.argmax(diag))
-        # the residual's rank is at least tr(R)^2 / ||R||_F^2
-        room = _PIVOTS - len(cols)
-        if not diag[j] > cutoff or room == 0 or diag.sum() ** 2 > (room + 0.5) * norm ** 2:
-            return None
-        col = a[:, j] / np.sqrt(diag[j])
-        a -= np.outer(col, col.conj())
-        cols.append(col)
-        top = max(top, np.vdot(col, col).real)
-    if np.linalg.norm(skew) > cutoff:
+    j = int(np.argmax(diag))
+    if not diag[j] > 0:
         return None
-    factor = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=complex)
-    return (factor, np.ones(len(cols))), norm
+    col = herm[:, j] / np.sqrt(diag[j])
+    resid = float(np.linalg.norm(herm - np.outer(col, col.conj())))
+    cutoff = len(herm) * np.finfo(float).eps * (np.vdot(col, col).real - resid)
+    if resid > cutoff or np.linalg.norm(diff) / 2 > cutoff:
+        return None
+    return (col[:, None], np.ones(1)), resid
 
 
-def _factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and the diagonal s of S with matrix = F S F* to rounding, by eigh:
-    the route of a state or event that :func:`_pivoted_cholesky` does not
-    factor.
+def _factor(herm: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and the diagonal s of S with matrix = F S F* to rounding, by eigh,
+    from the matrix's :func:`_parts`: the route of a state or event that
+    :func:`_rank_one` does not factor.
 
     matrix = A + iB with A and B Hermitian; B is zero unless the matrix is
     Hermitian only within its tolerance.  F holds the eigenvectors of A and
@@ -296,10 +289,10 @@ def _factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one column, the zero matrix none.  The small negative eigenvalues a
     state admits within its tolerance are kept with sign -1, not clipped.
     """
-    dim = len(matrix)
-    lam, vec = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    dim = len(herm)
+    lam, vec = np.linalg.eigh(herm)
     cutoff = dim * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
-    skew = (matrix - matrix.conj().T) / 2j
+    skew = diff / 2j
     # no eigenvalue of the skew part exceeds its Frobenius norm, so below
     # the cutoff it would keep no column, and it takes no eigh
     if np.linalg.norm(skew) > cutoff:

@@ -91,6 +91,17 @@ def test_a_claim_is_met_by_nine_wins_and_a_median_gap_past_the_parents_spread():
     # the same runs read as a time are a loss, not a gain
     assert bench_pairs.claim("circuits", "job_s.p50", _row(PARENT, faster, "lower"))[
         "met"] is False
+    assert block["factor"] == pytest.approx(14.0 / 11.0) and block["change_wins"] == 10
+    assert block["median_gap"] == 3.0 and block["parent_iqr"] == pytest.approx(2.5)
+    # a required factor is met at 14/11 = 1.27 and missed at 1.3
+    assert bench_pairs.claim("circuits", "jobs_per_s", _row(PARENT, faster, "higher"), 1.25)[
+        "met"] is True
+    short = bench_pairs.claim("circuits", "jobs_per_s", _row(PARENT, faster, "higher"), 1.3)
+    assert short["met"] is False and "at least 1.3" in short["target"]
+    # a time better by the same runs: the parent's median over the change's
+    slower = [v + 3.0 for v in PARENT]
+    assert bench_pairs.claim("circuits", "job_s.p50", _row(slower, PARENT, "lower"), 1.25)[
+        "met"] is True
     # eight wins are too few, however far the medians lie apart
     eight = [v + 5.0 for v in PARENT[:8]] + [v - 1.0 for v in PARENT[8:]]
     row = _row(PARENT, eight, "higher")

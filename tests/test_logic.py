@@ -288,8 +288,8 @@ def test_rank_one_context_deciders_solve_no_eigenproblem_and_form_no_square_prod
 
 def test_a_job_of_dense_rank_one_contexts_solves_no_eigenproblem_but_equiv_totals(monkeypatch):
     # the shape of a benchmark circuits job: a dense pure state and a dense
-    # rank-one event at d = 128 are checked and factored by pivoted
-    # Cholesky, so across every decider in both orders and hierarchy_check,
+    # rank-one event at d = 128 are checked and factored by one step of
+    # pivoted Cholesky, so across every decider in both orders and hierarchy_check,
     # on a failing pair and on a holding one, no eigvalsh runs and every
     # eigh or eig is _unitary_eig's, for a failing equiv_total
     gen = helpers.rng(29)

@@ -155,24 +155,25 @@ _CONTEXTS = st.integers(1, 64).flatmap(lambda d: st.tuples(
 
 @settings(max_examples=80, deadline=None)
 @given(_CONTEXTS)
-def test_the_pivoted_factor_rebuilds_the_matrix_with_the_eigh_routes_columns(case):
+def test_the_factor_rebuilds_the_matrix_with_the_eigh_routes_columns(case):
     dim, rank, kind, seed, state = case
     m = _context(dim, rank, kind, seed, state)
-    pivoted = qcore._pivoted_cholesky(m)
-    factor, signs = qcore._factor(m) if pivoted is None else pivoted[0]
+    parts = qcore._parts(m)
+    found = qcore._rank_one(*parts)
+    factor, signs = qcore._factor(*parts) if found is None else found[0]
     eps = np.finfo(float).eps
     rebuilt = (factor * signs) @ factor.conj().T
     assert np.linalg.norm(rebuilt - m) <= 4 * dim * eps * np.linalg.norm(m)
-    if pivoted is None:
+    if found is None:
         return
-    assert kind != "skew" and signs.tolist() == [1.0] * len(signs)
-    assert np.linalg.norm(m - factor @ factor.conj().T) <= pivoted[1] + 4 * dim * eps
+    assert kind != "skew" and signs.tolist() == [1.0]
+    assert np.linalg.norm(m - factor @ factor.conj().T) <= found[1] + 4 * dim * eps
     # the eigh route keeps the eigenvalues above the cutoff; the counts may
     # differ only by eigenvalues within a factor sqrt(d) of it
     lam = np.linalg.eigvalsh(m)
     cutoff = dim * eps * np.abs(lam).max()          # numpy's matrix_rank cutoff
     near = np.any((np.abs(lam) > cutoff / np.sqrt(dim)) & (np.abs(lam) <= cutoff * np.sqrt(dim)))
-    assert near or len(signs) == len(qcore._factor(m)[1])
+    assert near or len(signs) == len(qcore._factor(*parts)[1])
 
 
 CONTEXT_RELATIONS = [r for r in logic.RELATIONS if r != "equiv_total"]
@@ -180,7 +181,7 @@ CONTEXT_RELATIONS = [r for r in logic.RELATIONS if r != "equiv_total"]
 
 @settings(max_examples=40, deadline=None)
 @given(_CONTEXTS)
-def test_the_seven_relations_at_pivoted_contexts_agree_with_the_oracle(case):
+def test_the_seven_relations_at_these_contexts_agree_with_the_oracle(case):
     dim, rank, kind, seed, _ = case
     gen = helpers.rng(seed + 1)
     rho = qcore.DensityOperator(_context(dim, max(rank, 1), kind, seed, True))
@@ -200,10 +201,11 @@ def test_the_seven_relations_at_pivoted_contexts_agree_with_the_oracle(case):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 16, 128, 1024])
 def test_a_dense_pure_state_gives_one_column_from_one_pivot(dim):
+    # the check keeps the factor it was certified by
     gen = helpers.rng(dim)
     for _ in range(5 if dim < 1024 else 1):
         rho = qcore.DensityOperator(helpers.random_pure(gen, dim))
-        assert rho._pivoted is not None and rho._factors[0].shape == (dim, 1)
+        assert vars(rho)["_factors"][0].shape == (dim, 1)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 16, 64])

@@ -2,7 +2,7 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --pr N [--parent REV] [--seed 31001]
-        [--change TEXT] [--claim WORKLOAD/METRIC]
+        [--change TEXT] [--claim WORKLOAD/METRIC [--ratio R]]
 
 Run it from anywhere inside a checkout.  The parent (``HEAD`` unless
 ``--parent`` names another revision) and the change, the working tree as
@@ -29,8 +29,12 @@ run.  The metrics past their bound are printed to stderr.  With
 ``--claim WORKLOAD/METRIC`` the report's ``claim`` block names that metric
 and ``met`` says whether the change won at least nine tenths of the pairs
 and its median is better than the parent's by more than the parent's
-interquartile range; a workload or metric ``BENCHMARK.json`` does not name
-is refused before anything runs.
+interquartile range, and with ``--ratio R`` also by a factor of at least R
+(the change's median over the parent's for a higher-is-better metric, the
+parent's over the change's for a lower-is-better one).  The block carries
+the numbers it was decided from: the factor, the pairs won, the gap
+between the medians and the parent's interquartile range.  A workload or
+metric ``BENCHMARK.json`` does not name is refused before anything runs.
 """
 
 from __future__ import annotations
@@ -114,15 +118,23 @@ def parse_claim(spec: str, bench: dict) -> tuple[str, str]:
     return workload, metric
 
 
-def claim(workload: str, metric: str, row: dict) -> dict:
+def claim(workload: str, metric: str, row: dict, ratio: float | None = None) -> dict:
     """The claim block for one metric's row of :func:`compare`: ``met`` when
     the change won at least nine tenths of the pairs and its median is
-    better than the parent's, by more than the parent's interquartile range."""
-    sign = 1 if row["better"] == "higher" else -1
-    better = sign * (row["change"]["median"] - row["parent"]["median"]) > 0
+    better than the parent's, by more than the parent's interquartile range
+    and, if ``ratio`` is given, by a factor of at least ``ratio``."""
+    p, c = row["parent"]["median"], row["change"]["median"]
+    factor = (c / p if row["better"] == "higher" else p / c) if p and c else None
+    spread = row["parent"]["q3"] - row["parent"]["q1"]
     met = (row["change_wins"] >= math.ceil(0.9 * row["pairs"])
-           and row["median_gap_exceeds_parent_iqr"] and better)
-    return {"workload": workload, "metric": metric, "target": CLAIM_TARGET, "met": met}
+           and row["median_gap_exceeds_parent_iqr"] and factor is not None and factor > 1
+           and (ratio is None or factor >= ratio))
+    target = CLAIM_TARGET
+    if ratio is not None:
+        target += f", by a factor of at least {ratio:g}"
+    return {"workload": workload, "metric": metric, "target": target, "met": met,
+            "factor": factor, "change_wins": row["change_wins"], "pairs": row["pairs"],
+            "median_gap": abs(c - p), "parent_iqr": spread}
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -196,7 +208,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=31001, help="seed of pair 0")
     parser.add_argument("--change", default="", help="one line naming the change")
     parser.add_argument("--claim", help="WORKLOAD/METRIC whose gain the change claims")
+    parser.add_argument("--ratio", type=float,
+                        help="the least factor by which the claimed median must be better")
     args = parser.parse_args()
+    if args.ratio is not None and (args.claim is None or not args.ratio >= 1):
+        parser.error("--ratio needs --claim and a factor of at least 1")
     if args.claim is not None:
         try:
             claimed = parse_claim(args.claim, bench)
@@ -230,7 +246,7 @@ def main() -> int:
     if args.claim is not None:
         workload, metric = claimed
         report["claim"] = claim(workload, metric,
-                                report["workloads"][workload]["metrics"][metric])
+                                report["workloads"][workload]["metrics"][metric], args.ratio)
     for name, workload in report["workloads"].items():
         for metric, row in workload["metrics"].items():
             if row["past_bound"]:
